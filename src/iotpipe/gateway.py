@@ -5,11 +5,12 @@ the backend, maps the responses back, and crosses from IPv6 (link side) to
 IPv4 (upstream side). Payloads pass through byte-identical.
 """
 
+import http.client
 import json
-from collections import OrderedDict
+import select
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-
-import requests
+from urllib.parse import urlsplit
 
 from . import coap
 from .stack import StackEndpoint
@@ -24,10 +25,6 @@ class UnsupportedMethod(GatewayError):
 
 
 class MissingPath(GatewayError):
-    pass
-
-
-class PayloadTooLargeForLink(GatewayError):
     pass
 
 
@@ -89,7 +86,6 @@ class ProxyMapping:
 class UpstreamConfig:
     base_url: str
     timeout: float = 5.0
-    max_inflight: int = 4
 
 
 @dataclass
@@ -129,35 +125,84 @@ def translate_request(msg: coap.CoapMessage, mapping: ProxyMapping,
 
 
 def translate_response(resp: HttpResponseModel, request: coap.CoapMessage,
-                       mapping: ProxyMapping,
-                       link_payload_limit: int = None) -> coap.CoapMessage:
+                       mapping: ProxyMapping) -> coap.CoapMessage:
     code = mapping.coap_code_for(resp.status)
     options = []
     body = resp.body or b""
-    if (getattr(mapping, "strip_success_bodies", False) and code[0] == 2
-            and request.code == coap.METHOD_POST):
+    if mapping.strip_success_bodies and code[0] == 2 and request.code == coap.METHOD_POST:
         body = b""
     if body:
         cf = mapping.content_format_for(resp.headers.get("Content-Type", ""))
         if cf is not None:
             options.append((coap.OPT_CONTENT_FORMAT, bytes([cf])))
-    if request.msg_type == coap.MsgType.CON:
-        msg_type, mid = coap.MsgType.ACK, request.message_id
-    else:
-        msg_type, mid = coap.MsgType.NON, request.message_id
-    msg = coap.CoapMessage(
+    return _reply_to(request, code, options, body)
+
+
+def _reply_to(request: coap.CoapMessage, code: tuple, options=(), payload=b""):
+    """Piggybacked ACK to a CON request, NON reply to a NON one."""
+    msg_type = coap.MsgType.ACK if request.msg_type == coap.MsgType.CON else coap.MsgType.NON
+    return coap.CoapMessage(
         msg_type=msg_type,
         code=code,
-        message_id=mid,
+        message_id=request.message_id,
         token=request.token,
-        options=options,
-        payload=body,
+        options=list(options),
+        payload=payload,
     )
-    if link_payload_limit is not None and len(coap.encode(msg)) > link_payload_limit:
-        raise PayloadTooLargeForLink(
-            "response of %d bytes exceeds the link budget" % len(coap.encode(msg))
-        )
-    return msg
+
+
+# What ``HttpSession.request`` returns; ``headers.get`` is case-insensitive.
+HttpReply = namedtuple("HttpReply", "status_code headers content")
+
+
+class HttpSession:
+    """Keep-alive HTTP/1.1 client on the standard library.
+
+    Opens one connection on first use and reuses it. A connection the server
+    has closed while idle is replaced before anything is sent. Any transport
+    error closes the connection, so the next call reconnects; nothing is
+    retried, because a POST may already have been stored. Proxy settings in
+    the environment are not read.
+    """
+
+    def __init__(self):
+        self._conn = None
+        self._origin = None     # (scheme, host, port) of the open connection
+
+    def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.hostname, parts.port)
+        if self._conn is not None and (origin != self._origin or _dropped(self._conn.sock)):
+            self.close()
+        if self._conn is None:
+            cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+            self._conn, self._origin = cls(parts.hostname, parts.port), origin
+        conn = self._conn
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        try:
+            conn.request(method, target, body=data, headers=headers or {})
+            resp = conn.getresponse()
+            return HttpReply(resp.status, resp.headers, resp.read())
+        except (OSError, http.client.HTTPException):
+            self.close()
+            raise
+
+    def close(self):
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
+def _dropped(sock) -> bool:
+    """True when an idle keep-alive socket is readable: the peer closed it."""
+    if sock is None:
+        return False
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 @dataclass
@@ -185,7 +230,7 @@ class Gateway:
         self.endpoint = endpoint
         self.upstream = upstream
         self.mapping = mapping or ProxyMapping()
-        self.session = session or requests.Session()
+        self.session = session or HttpSession()
         self.metrics = GatewayMetrics()
         self.metrics_log = metrics_log  # writable file-like, JSON lines
         self._recent = OrderedDict()    # (link_src, mid, token) -> encoded reply
@@ -204,41 +249,29 @@ class Gateway:
         )
         return HttpResponseModel(
             status=response.status_code,
-            headers=dict(response.headers),
+            headers=response.headers,
             body=response.content,
-        )
-
-    def _error_reply(self, request: coap.CoapMessage, code: tuple) -> coap.CoapMessage:
-        return translate_response(
-            HttpResponseModel(status=0, headers={}, body=b""), request,
-            _StaticMapping(code),
         )
 
     def _handle(self, request: coap.CoapMessage, now: float) -> coap.CoapMessage:
         try:
             http_req = translate_request(request, self.mapping, self.upstream)
         except UnsupportedMethod:
-            return self._error_reply(request, (4, 5))
+            return _reply_to(request, (4, 5))
         except MissingPath:
-            return self._error_reply(request, (4, 0))
+            return _reply_to(request, (4, 0))
         self.metrics.requests_forwarded += 1
         try:
             http_resp = self._exchange(http_req)
-        except requests.Timeout:
+        except TimeoutError:
             self.metrics.upstream_errors += 1
             self._log_event({"event": "upstream_timeout", "t": now})
-            return self._error_reply(request, (5, 4))
-        except requests.RequestException as exc:
+            return _reply_to(request, (5, 4))
+        except (OSError, http.client.HTTPException) as exc:
             self.metrics.upstream_errors += 1
             self._log_event({"event": "upstream_error", "t": now, "error": str(exc)})
-            return self._error_reply(request, (5, 2))
-        try:
-            return translate_response(
-                http_resp, request, self.mapping,
-                link_payload_limit=None,
-            )
-        except PayloadTooLargeForLink:
-            return self._error_reply(request, (4, 13))
+            return _reply_to(request, (5, 2))
+        return translate_response(http_resp, request, self.mapping)
 
     def process_pending(self, now: float = 0.0) -> int:
         """Drain the link side; one CoAP exchange per completed datagram."""
@@ -279,17 +312,3 @@ class Gateway:
             handled += 1
         return handled
 
-
-class _StaticMapping:
-    """Mapping stand-in that yields a fixed CoAP code for error replies."""
-
-    content_map = {}
-
-    def __init__(self, code):
-        self._code = code
-
-    def coap_code_for(self, _status):
-        return self._code
-
-    def content_format_for(self, _media_type):
-        return None

@@ -20,16 +20,25 @@ class FrameTooLarge(LinkError):
     pass
 
 
+def _crc_table() -> tuple:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x8408 if crc & 1 else crc >> 1
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC_TABLE = _crc_table()
+
+
 def crc16_kermit(data: bytes) -> int:
     """CRC-16 as used for the 802.15.4 FCS (reflected, poly 0x1021)."""
     crc = 0
+    table = _CRC_TABLE
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0x8408
-            else:
-                crc >>= 1
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc
 
 

@@ -122,6 +122,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 one.send_observation(pump=pump)
         records = [one.records for one in nodes]
     finally:
+        for one in gateways:
+            one.session.close()
         if metrics_log:
             metrics_log.close()
         if server:
@@ -135,10 +137,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         stored = store.count("Observations")
         store.close()
     else:
-        import requests
-
-        resp = requests.get(base_url + "/Observations", params={"$top": 0})
-        stored = resp.json()["@iot.count"]
+        session = gw.HttpSession()  # closes itself if the request fails
+        resp = session.request("GET", base_url + "/Observations?$top=0", timeout=5.0)
+        session.close()
+        stored = json.loads(resp.content)["@iot.count"]
 
     metrics = gateways[0].metrics if config.nodes == 1 else _merge_metrics(gateways)
     summary = {

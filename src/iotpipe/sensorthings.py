@@ -509,6 +509,8 @@ def _now() -> float:
 class BackendServer:
     """Threaded HTTP server wrapping one Store."""
 
+    POLL_INTERVAL = 0.05  # s between serve_forever's shutdown checks; bounds stop()
+
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0,
                  root: str = "/v1.0"):
         self.store = store
@@ -528,7 +530,8 @@ class BackendServer:
         )
 
     def start(self):
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        args=(self.POLL_INTERVAL,), daemon=True)
         self._thread.start()
         return self
 

@@ -6,6 +6,26 @@ EXT_A = bytes.fromhex("00124b0001020304")
 EXT_B = bytes.fromhex("00124b00050607ff")
 
 
+def bitwise_crc16_kermit(data):
+    crc = 0
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x8408 if crc & 1 else crc >> 1
+    return crc
+
+
+def test_crc_matches_bitwise_reference_at_every_frame_length():
+    data = bytes((i * 37 + 11) & 0xFF for i in range(link154.MAX_FRAME))
+    for length in range(link154.MAX_FRAME + 1):
+        assert link154.crc16_kermit(data[:length]) == bitwise_crc16_kermit(data[:length])
+    assert link154.crc16_kermit(bytes(range(256))) == bitwise_crc16_kermit(bytes(range(256)))
+
+
+def test_crc_known_vector():
+    assert link154.crc16_kermit(b"123456789") == 0x2189
+
+
 def test_frame_overheads():
     assert link154.frame_overhead("calibrated") == 21
     assert link154.frame_overhead("short") == 11

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import requests
@@ -223,3 +224,11 @@ def test_http_error_statuses(backend):
 def test_http_root_listing(backend):
     names = {c["name"] for c in requests.get(backend.base_url).json()["value"]}
     assert "Things" in names and "Observations" in names
+
+
+def test_stop_returns_promptly(seeded_store):
+    server = sensorthings.BackendServer(seeded_store).start()
+    assert requests.get(server.base_url).status_code == 200
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.2
