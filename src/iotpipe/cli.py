@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import sensorthings, sizebench
 from .pipeline import PipelineConfig, run_pipeline
@@ -115,21 +116,10 @@ def cmd_serve(args) -> int:
             store = sensorthings.Store(journal_path=args.journal)
             if args.seed_entities:
                 sensorthings.seed_default_entities(store)
-        server = sensorthings.BackendServer(store, port=args.port)
     except OSError as exc:
         print("environment error: %s" % exc, file=sys.stderr)
         return EXIT_ENVIRONMENT
-    server.start()
-    print("serving SensorThings API at %s" % server.base_url)
-    try:
-        while True:
-            import time
-
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.stop()
-        store.close()
-    return EXIT_OK
+    return _serve(store, args.port, "serving SensorThings API")
 
 
 def cmd_replay(args) -> int:
@@ -146,17 +136,21 @@ def cmd_replay(args) -> int:
     if args.no_serve:
         store.close()
         return EXIT_OK
+    return _serve(store, args.port, "serving recovered store")
+
+
+def _serve(store, port: int, banner: str) -> int:
+    """Serve ``store`` over HTTP until interrupted, then close it."""
     try:
-        server = sensorthings.BackendServer(store, port=args.port)
+        server = sensorthings.BackendServer(store, port=port)
     except OSError as exc:
+        store.close()
         print("environment error: %s" % exc, file=sys.stderr)
         return EXIT_ENVIRONMENT
     server.start()
-    print("serving recovered store at %s" % server.base_url)
+    print("%s at %s" % (banner, server.base_url))
     try:
         while True:
-            import time
-
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()

@@ -1,6 +1,4 @@
-"""Clock abstraction: virtual time for deterministic tests, wall time for demos."""
-
-import time
+"""Virtual clock: simulated time for deterministic runs."""
 
 
 class VirtualClock:
@@ -16,16 +14,3 @@ class VirtualClock:
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
         self._now += seconds
-
-    def advance(self, seconds: float) -> None:
-        self.sleep(seconds)
-
-
-class WallClock:
-    """Real time, for interactive runs."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)

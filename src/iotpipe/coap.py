@@ -51,9 +51,7 @@ CONTENT_FORMATS = {
     60: "application/cbor",
 }
 
-CF_TEXT_PLAIN = 0
 CF_JSON = 50
-CF_CBOR = 60
 
 # Method codes (class 0)
 METHOD_GET = (0, 1)

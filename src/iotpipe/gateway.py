@@ -9,7 +9,7 @@ import http.client
 import json
 import select
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from . import coap
@@ -28,58 +28,42 @@ class MissingPath(GatewayError):
     pass
 
 
-def default_method_map():
-    return {
-        (0, 1): "GET",
-        (0, 2): "POST",
-        (0, 3): "PUT",
-        (0, 4): "DELETE",
-    }
+# CoAP request code -> HTTP method. Any other request code answers 4.05.
+METHODS = {
+    coap.METHOD_GET: "GET",
+    coap.METHOD_POST: "POST",
+    coap.METHOD_PUT: "PUT",
+    coap.METHOD_DELETE: "DELETE",
+}
 
+# HTTP status -> CoAP response code. Any other status answers FALLBACK_CODE.
+STATUS_CODES = {
+    200: (2, 5),   # Content
+    201: (2, 1),   # Created
+    204: (2, 4),   # Changed
+    400: (4, 0),
+    403: (4, 3),
+    404: (4, 4),
+    405: (4, 5),
+    413: (4, 13),
+    500: (5, 0),
+    502: (5, 2),
+    503: (5, 3),
+    504: (5, 4),
+}
+FALLBACK_CODE = (5, 2)  # bad-gateway semantics
 
-def default_status_map():
-    return {
-        200: (2, 5),   # Content
-        201: (2, 1),   # Created
-        204: (2, 4),   # Changed
-        400: (4, 0),
-        403: (4, 3),
-        404: (4, 4),
-        405: (4, 5),
-        413: (4, 13),
-        500: (5, 0),
-        502: (5, 2),
-        503: (5, 3),
-        504: (5, 4),
-    }
-
-
-def default_content_map():
-    return dict(coap.CONTENT_FORMATS)
+# Media type -> CoAP Content-Format.
+CONTENT_FORMAT_IDS = {label: cf for cf, label in coap.CONTENT_FORMATS.items()}
 
 
 @dataclass
 class ProxyMapping:
-    method_map: dict = field(default_factory=default_method_map)
-    status_map: dict = field(default_factory=default_status_map)
-    content_map: dict = field(default_factory=default_content_map)
-    fallback_code: tuple = (5, 2)  # bad-gateway semantics
-    path_prefix: str = ""          # optional rewrite inserted before the CoAP path
     # Optional: shrink creation acknowledgements to a bare success code so
     # the reply fits one 802.15.4 frame (fewer frames to lose on a lossy
     # link); the stored entity stays queryable upstream. Off by default to
     # keep the proxy transparent.
     strip_success_bodies: bool = False
-
-    def coap_code_for(self, http_status: int) -> tuple:
-        return self.status_map.get(http_status, self.fallback_code)
-
-    def content_format_for(self, media_type: str):
-        base = (media_type or "").split(";")[0].strip()
-        for cf_id, label in self.content_map.items():
-            if label == base:
-                return cf_id
-        return None
 
 
 @dataclass
@@ -96,43 +80,39 @@ class HttpRequestModel:
     body: bytes
 
 
-@dataclass
-class HttpResponseModel:
-    status: int
-    headers: dict
-    body: bytes
+# What ``HttpSession.request`` returns; ``headers.get`` is case-insensitive.
+HttpReply = namedtuple("HttpReply", "status_code headers content")
 
 
 def translate_request(msg: coap.CoapMessage, mapping: ProxyMapping,
                       upstream: UpstreamConfig) -> HttpRequestModel:
     if not msg.is_request():
         raise UnsupportedMethod("not a request: code %s" % msg.code_str())
-    method = mapping.method_map.get(msg.code)
+    method = METHODS.get(msg.code)
     if method is None:
         raise UnsupportedMethod("no HTTP mapping for CoAP %s" % msg.code_str())
     segments = msg.uri_path()
     if not segments:
         raise MissingPath("request carries no Uri-Path")
-    path = "/".join(segments)
-    if mapping.path_prefix:
-        path = mapping.path_prefix.strip("/") + "/" + path
-    url = upstream.base_url.rstrip("/") + "/" + path
+    url = upstream.base_url.rstrip("/") + "/" + "/".join(segments)
     headers = {}
-    cf = msg.content_format()
     if msg.payload:
-        headers["Content-Type"] = mapping.content_map.get(cf, "application/octet-stream")
+        headers["Content-Type"] = coap.CONTENT_FORMATS.get(
+            msg.content_format(), "application/octet-stream")
     return HttpRequestModel(method=method, url=url, headers=headers, body=msg.payload)
 
 
-def translate_response(resp: HttpResponseModel, request: coap.CoapMessage,
+def translate_response(resp: HttpReply, request: coap.CoapMessage,
                        mapping: ProxyMapping) -> coap.CoapMessage:
-    code = mapping.coap_code_for(resp.status)
+    """CoAP reply to ``request`` from what a session's ``request`` returned."""
+    code = STATUS_CODES.get(resp.status_code, FALLBACK_CODE)
     options = []
-    body = resp.body or b""
+    body = resp.content or b""
     if mapping.strip_success_bodies and code[0] == 2 and request.code == coap.METHOD_POST:
         body = b""
     if body:
-        cf = mapping.content_format_for(resp.headers.get("Content-Type", ""))
+        media_type = (resp.headers.get("Content-Type") or "").split(";")[0].strip()
+        cf = CONTENT_FORMAT_IDS.get(media_type)
         if cf is not None:
             options.append((coap.OPT_CONTENT_FORMAT, bytes([cf])))
     return _reply_to(request, code, options, body)
@@ -149,10 +129,6 @@ def _reply_to(request: coap.CoapMessage, code: tuple, options=(), payload=b""):
         options=list(options),
         payload=payload,
     )
-
-
-# What ``HttpSession.request`` returns; ``headers.get`` is case-insensitive.
-HttpReply = namedtuple("HttpReply", "status_code headers content")
 
 
 class HttpSession:
@@ -239,20 +215,6 @@ class Gateway:
         if self.metrics_log is not None:
             self.metrics_log.write(json.dumps(event, separators=(",", ":")) + "\n")
 
-    def _exchange(self, http_req: HttpRequestModel) -> HttpResponseModel:
-        response = self.session.request(
-            http_req.method,
-            http_req.url,
-            data=http_req.body,
-            headers=http_req.headers,
-            timeout=self.upstream.timeout,
-        )
-        return HttpResponseModel(
-            status=response.status_code,
-            headers=response.headers,
-            body=response.content,
-        )
-
     def _handle(self, request: coap.CoapMessage, now: float) -> coap.CoapMessage:
         try:
             http_req = translate_request(request, self.mapping, self.upstream)
@@ -262,7 +224,10 @@ class Gateway:
             return _reply_to(request, (4, 0))
         self.metrics.requests_forwarded += 1
         try:
-            http_resp = self._exchange(http_req)
+            http_resp = self.session.request(
+                http_req.method, http_req.url, data=http_req.body,
+                headers=http_req.headers, timeout=self.upstream.timeout,
+            )
         except TimeoutError:
             self.metrics.upstream_errors += 1
             self._log_event({"event": "upstream_timeout", "t": now})

@@ -119,18 +119,22 @@ class LinkFrame:
         if len(data) > MAX_FRAME:
             raise FrameTooLarge("frame is %d bytes, max %d" % (len(data), MAX_FRAME))
         fcf = int.from_bytes(data[0:2], "little")
+        dst_len = 2 if (fcf >> 10) & 0x3 == ADDR_MODE_SHORT else 8
+        src_len = 2 if (fcf >> 14) & 0x3 == ADDR_MODE_SHORT else 8
+        header = 5 + dst_len + (0 if fcf & (1 << 6) else 2) + src_len
+        if len(data) < header + (2 if include_fcs else 0):
+            raise LinkError("frame of %d bytes is shorter than the %d-byte header its "
+                            "frame control announces" % (len(data), header))
         sequence = data[2]
         pos = 3
         dst_pan = int.from_bytes(data[pos:pos + 2], "little")
         pos += 2
-        dst_len = 2 if (fcf >> 10) & 0x3 == ADDR_MODE_SHORT else 8
         dst_addr = data[pos:pos + dst_len]
         pos += dst_len
         src_pan = None
         if not fcf & (1 << 6):
             src_pan = int.from_bytes(data[pos:pos + 2], "little")
             pos += 2
-        src_len = 2 if (fcf >> 14) & 0x3 == ADDR_MODE_SHORT else 8
         src_addr = data[pos:pos + src_len]
         pos += src_len
         if include_fcs:

@@ -61,10 +61,6 @@ class Ipv6UdpHeaders:
     flow_label: int = 0
     next_header: int = UDP_PROTO
 
-    @property
-    def udp_length(self) -> int:
-        return self.payload_length
-
     def serialize(self) -> bytes:
         """Uncompressed wire form: 40-byte IPv6 header + 8-byte UDP header."""
         vtf = (6 << 28) | (self.traffic_class << 20) | self.flow_label
@@ -75,7 +71,7 @@ class Ipv6UdpHeaders:
             ">HHHH",
             self.udp_src_port,
             self.udp_dst_port,
-            self.udp_length,
+            self.payload_length,
             self.udp_checksum,
         )
         return ipv6 + udp
@@ -145,13 +141,6 @@ class CompressionContext:
     link_dst: bytes = b""
     elide_checksum: bool = False
 
-    def reversed(self):
-        return CompressionContext(
-            link_src=self.link_dst,
-            link_dst=self.link_src,
-            elide_checksum=self.elide_checksum,
-        )
-
 
 @dataclass
 class CompressedHeaders:
@@ -159,10 +148,6 @@ class CompressedHeaders:
     ip_inline: bytes           # inline IPv6 fields, wire order
     nhc_bytes: bytes           # 1-byte UDP NHC header
     udp_inline: bytes          # inline UDP fields, wire order
-
-    @property
-    def inline_fields(self) -> bytes:
-        return self.ip_inline + self.udp_inline
 
     @property
     def network_bytes(self) -> int:
@@ -306,28 +291,6 @@ def parse_datagram(data: bytes, context: CompressionContext):
         raise UnsupportedHeaderChain("expected NHC-compressed UDP next header")
 
     pos = 2
-    tc = 0
-    fl = 0
-    if tf == 0:
-        ecn_dscp = data[pos]
-        fl = ((data[pos + 1] & 0x0F) << 16) | int.from_bytes(data[pos + 2:pos + 4], "big")
-        tc = ((ecn_dscp & 0x3F) << 2) | (ecn_dscp >> 6)
-        pos += 4
-    elif tf == 1:
-        b = data[pos]
-        tc = b >> 6  # ECN only, DSCP elided as zero
-        fl = ((b & 0x0F) << 16) | int.from_bytes(data[pos + 1:pos + 3], "big")
-        pos += 3
-    elif tf == 2:
-        b = data[pos]
-        tc = ((b & 0x3F) << 2) | (b >> 6)
-        pos += 1
-
-    if hlim == 0:
-        hop_limit = data[pos]
-        pos += 1
-    else:
-        hop_limit = {1: 1, 2: 64, 3: 255}[hlim]
 
     def read(n):
         nonlocal pos
@@ -336,6 +299,25 @@ def parse_datagram(data: bytes, context: CompressionContext):
             raise BadDispatch("inline fields truncated")
         pos += n
         return chunk
+
+    tc = 0
+    fl = 0
+    if tf == 0:
+        b = read(4)
+        fl = ((b[1] & 0x0F) << 16) | int.from_bytes(b[2:4], "big")
+        tc = ((b[0] & 0x3F) << 2) | (b[0] >> 6)
+    elif tf == 1:
+        b = read(3)
+        tc = b[0] >> 6  # ECN only, DSCP elided as zero
+        fl = ((b[0] & 0x0F) << 16) | int.from_bytes(b[1:3], "big")
+    elif tf == 2:
+        b = read(1)[0]
+        tc = ((b & 0x3F) << 2) | (b >> 6)
+
+    if hlim == 0:
+        hop_limit = read(1)[0]
+    else:
+        hop_limit = {1: 1, 2: 64, 3: 255}[hlim]
 
     if sam == 0:
         src = read(16)
@@ -366,8 +348,7 @@ def parse_datagram(data: bytes, context: CompressionContext):
             raise ContextMissing("destination elided but no link destination address")
         dst = link_local_from(context.link_dst)
 
-    nhc = data[pos]
-    pos += 1
+    nhc = read(1)[0]
     if nhc & 0xF8 != 0xF0:
         raise BadDispatch("byte 0x%02x is not a UDP NHC header" % nhc)
     csum_elided = (nhc >> 2) & 0x1

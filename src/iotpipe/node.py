@@ -13,17 +13,14 @@ from . import coap
 from .stack import StackEndpoint
 
 
-@dataclass
-class ObservationPayload:
-    result: int
-
-    def to_bytes(self) -> bytes:
-        return serialize_payload(self)
+TOKEN_LENGTH = 2
+OBSERVATION_PATH = ("Observations",)
+ACK_TIMEOUT = 2.0  # s before the first retransmission; doubles on each one
 
 
-def serialize_payload(p: ObservationPayload) -> bytes:
+def serialize_payload(result) -> bytes:
     """Compact JSON, single key, no whitespace; 15 bytes for a 4-digit result."""
-    return json.dumps({"result": p.result}, separators=(",", ":")).encode("ascii")
+    return json.dumps({"result": result}, separators=(",", ":")).encode("ascii")
 
 
 class FixedTemperature:
@@ -49,16 +46,13 @@ class RandomWalkTemperature:
 class Reliability:
     confirmable: bool = False
     max_retransmit: int = 4
-    initial_timeout: float = 2.0
 
 
 @dataclass
 class NodeConfig:
     period: float = 10.0
-    path: tuple = ("Observations",)
     reliability: Reliability = field(default_factory=Reliability)
     temperature: object = field(default_factory=FixedTemperature)
-    token_length: int = 2
 
 
 @dataclass
@@ -96,9 +90,7 @@ class Node:
         self.records = []
 
     def _next_token(self) -> bytes:
-        return bytes(
-            self._token_rng.randrange(256) for _ in range(self.config.token_length)
-        )
+        return bytes(self._token_rng.randrange(256) for _ in range(TOKEN_LENGTH))
 
     def _build_request(self, payload: bytes) -> coap.CoapMessage:
         rel = self.config.reliability
@@ -107,7 +99,7 @@ class Node:
             token=self._next_token(),
             message_id=self._mid.take(),
         )
-        return coap.build_observation_request(list(self.config.path), payload, cfg)
+        return coap.build_observation_request(OBSERVATION_PATH, payload, cfg)
 
     def _poll_once(self, request, pump):
         now = self.clock.now()
@@ -134,14 +126,14 @@ class Node:
     def send_observation(self, pump=None) -> SendRecord:
         """Send one observation now; blocks (in clock time) for CON exchanges."""
         reading = self.config.temperature.next()
-        payload = serialize_payload(ObservationPayload(reading))
+        payload = serialize_payload(reading)
         request = self._build_request(payload)
         encoded = coap.encode(request)
         rel = self.config.reliability
 
         attempts = 0
         response = None
-        timeout = rel.initial_timeout
+        timeout = ACK_TIMEOUT
         tx = None
         max_attempts = 1 + (rel.max_retransmit if rel.confirmable else 0)
         while attempts < max_attempts:

@@ -23,11 +23,8 @@ class PipelineConfig:
     seed: int = 0
     confirmable: bool = False
     max_retransmit: int = 4
-    initial_timeout: float = 2.0
     compress: bool = True
-    profile: str = "calibrated"
     compact_acks: bool = False     # strip 2.xx bodies to single-frame replies
-    path: tuple = ("Observations",)
     backend_url: str = None        # attach instead of embedding when set
     artifacts_dir: str = None
     journal_path: str = None
@@ -84,12 +81,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 seed=config.seed + i,
             ))
             node_ep = stack.StackEndpoint(
-                link.endpoints[0],
-                stack.node_stack_config(compress=config.compress, profile=config.profile),
+                link.endpoints[0], stack.node_stack_config(compress=config.compress)
             )
             gw_ep = stack.StackEndpoint(
-                link.endpoints[1],
-                stack.gateway_stack_config(compress=config.compress, profile=config.profile),
+                link.endpoints[1], stack.gateway_stack_config(compress=config.compress)
             )
             gateways.append(gw.Gateway(
                 gw_ep,
@@ -99,11 +94,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             ))
             cfg = nodemod.NodeConfig(
                 period=config.period,
-                path=config.path,
                 reliability=nodemod.Reliability(
                     confirmable=config.confirmable,
                     max_retransmit=config.max_retransmit,
-                    initial_timeout=config.initial_timeout,
                 ),
                 temperature=nodemod.FixedTemperature(2143),
             )
@@ -113,14 +106,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             for one in gateways:
                 one.process_pending(now)
 
-        records = [[] for _ in nodes]
         for _ in range(config.observations_per_node):
-            for i, one in enumerate(nodes):
-                records[i] = one.records
             clock.sleep(config.period)
             for one in nodes:
                 one.send_observation(pump=pump)
-        records = [one.records for one in nodes]
     finally:
         for one in gateways:
             one.session.close()
@@ -129,6 +118,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         if server:
             server.stop()
 
+    records = [one.records for one in nodes]
     all_records = [r for per_node in records for r in per_node]
     sent = len(all_records)
     acked = sum(1 for r in all_records if r.outcome == "acked" and r.response_code == "2.01")
@@ -142,7 +132,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         session.close()
         stored = json.loads(resp.content)["@iot.count"]
 
-    metrics = gateways[0].metrics if config.nodes == 1 else _merge_metrics(gateways)
     summary = {
         "sent": sent,
         "stored": stored,
@@ -160,7 +149,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         acked=acked,
         failed=failed,
         records_per_node=records,
-        gateway_metrics=_metrics_dict(metrics),
+        gateway_metrics=_merge_metrics(gateways),
         summary=summary,
     )
     if config.artifacts_dir:
@@ -168,16 +157,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     return result
 
 
-def _merge_metrics(gateways):
-    merged = gw.GatewayMetrics()
+def _merge_metrics(gateways) -> dict:
+    """Gateway counters summed over all gateways."""
+    merged = vars(gw.GatewayMetrics())
     for one in gateways:
-        for key in vars(merged):
-            setattr(merged, key, getattr(merged, key) + getattr(one.metrics, key))
+        for key, value in vars(one.metrics).items():
+            merged[key] += value
     return merged
-
-
-def _metrics_dict(metrics) -> dict:
-    return dict(vars(metrics))
 
 
 def _write_artifacts(config: PipelineConfig, result: PipelineResult):

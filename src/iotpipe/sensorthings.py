@@ -8,9 +8,11 @@ navigation reads, and an append-only JSON-lines journal for recovery.
 import json
 import re
 import threading
+import time
 import warnings
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qsl
 
 
 class StError(Exception):
@@ -66,6 +68,7 @@ NAVIGATIONS = {
 }
 
 DEFAULT_TOP = 100
+DEFAULT_DATASTREAM_ID = 1  # target of a bare /Observations POST
 
 _PATH_RE = re.compile(r"^([A-Za-z]+)(?:\((\d+)\))?(?:/([A-Za-z]+))?$")
 
@@ -96,13 +99,12 @@ class Store:
     Mutations serialize through one lock; reads see consistent snapshots.
     """
 
-    def __init__(self, journal_path=None, default_datastream_id=1):
+    def __init__(self, journal_path=None):
         self._entities = {kind: {} for kind in KINDS}
         self._next_id = {kind: 1 for kind in KINDS}
         self._lock = threading.RLock()
         self._journal_file = None
         self.journal_path = journal_path
-        self.default_datastream_id = default_datastream_id
         if journal_path is not None:
             self._journal_file = open(journal_path, "a", encoding="utf-8")
 
@@ -125,9 +127,11 @@ class Store:
 
     def observation_target(self, body) -> int:
         """Datastream id for a bare /Observations POST: explicit link or default."""
-        if isinstance(body, dict) and "Datastream" in body:
+        if not isinstance(body, dict):
+            raise MalformedBody("observation body must be a JSON object")
+        if "Datastream" in body:
             return _link_id(body, "Datastream")
-        return self.default_datastream_id
+        return DEFAULT_DATASTREAM_ID
 
     def create_entity(self, kind: str, body, _journal=True):
         """Create one entity (deep insert supported for Things); returns id."""
@@ -143,18 +147,7 @@ class Store:
 
     def _create_location(self, body) -> int:
         name = _require_str(body, "name")
-        location = body.get("location")
-        if not isinstance(location, dict) or location.get("type") != "Point":
-            raise ValidationError("location must be a GeoJSON Point")
-        coords = location.get("coordinates")
-        if (
-            not isinstance(coords, (list, tuple))
-            or len(coords) != 2
-            or not all(isinstance(c, (int, float)) for c in coords)
-            or not -180 <= coords[0] <= 180
-            or not -90 <= coords[1] <= 90
-        ):
-            raise ValidationError("coordinates must be [lon, lat] in range")
+        coords = self._validate_location(body)
         new_id = self._assign_id("Locations")
         self._entities["Locations"][new_id] = {
             "id": new_id,
@@ -176,8 +169,7 @@ class Store:
             if not isinstance(loc, dict):
                 raise ValidationError("each Location must be an object")
             _require_str(loc, "name")
-            probe = dict(loc)
-            self._validate_location(probe)
+            self._validate_location(loc)
         location_ids = [self._create_location(loc) for loc in locations]
         new_id = self._assign_id("Things")
         self._entities["Things"][new_id] = {
@@ -189,7 +181,8 @@ class Store:
         }
         return new_id
 
-    def _validate_location(self, body):
+    def _validate_location(self, body) -> list:
+        """The [lon, lat] of a GeoJSON Point location, checked for range."""
         location = body.get("location")
         if not isinstance(location, dict) or location.get("type") != "Point":
             raise ValidationError("location must be a GeoJSON Point")
@@ -202,6 +195,7 @@ class Store:
             or not -90 <= coords[1] <= 90
         ):
             raise ValidationError("coordinates must be [lon, lat] in range")
+        return coords
 
     def _create_sensor(self, body) -> int:
         name = _require_str(body, "name")
@@ -363,6 +357,8 @@ class Store:
             skip = int(params.get("$skip", 0))
         except (TypeError, ValueError):
             raise BadPath("$top/$skip must be integers")
+        if top < 0 or skip < 0:
+            raise BadPath("$top/$skip must not be negative")
         page = rows[skip:skip + top]
         return {
             "@iot.count": len(rows),
@@ -372,7 +368,7 @@ class Store:
     # -- persistence -------------------------------------------------------
 
     @classmethod
-    def recover(cls, journal_path, default_datastream_id=1):
+    def recover(cls, journal_path):
         """Rebuild a store by replaying the journal, then reopen it for append.
 
         A truncated or unparsable final line is dropped with a warning;
@@ -385,7 +381,7 @@ class Store:
             lines = []
         if lines and lines[-1] == "":
             lines.pop()
-        store = cls(journal_path=None, default_datastream_id=default_datastream_id)
+        store = cls(journal_path=None)
         for i, line in enumerate(lines):
             try:
                 record = json.loads(line)
@@ -433,6 +429,8 @@ def _make_handler(store: Store, root: str):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             if location:
                 self.send_header("Location", location)
             self.end_headers()
@@ -442,12 +440,22 @@ def _make_handler(store: Store, root: str):
             path, _, query = self.path.partition("?")
             if path != root and not path.startswith(root + "/"):
                 raise BadPath("paths are rooted at %s" % root)
-            params = {}
-            for pair in query.split("&"):
-                if "=" in pair:
-                    key, value = pair.split("=", 1)
-                    params[key] = value
+            params = dict(parse_qsl(query, keep_blank_values=True))
             return path[len(root):].strip("/"), params
+
+        def _read_json(self):
+            """The request body, parsed; a body of unknown length closes the connection."""
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                raise MalformedBody("Content-Length must be a non-negative integer")
+            try:
+                return json.loads(self.rfile.read(length))
+            except (ValueError, RecursionError):  # RecursionError: nested too deep
+                raise MalformedBody("request body is not valid JSON")
 
         def do_GET(self):
             try:
@@ -464,46 +472,29 @@ def _make_handler(store: Store, root: str):
         def do_POST(self):
             try:
                 path, _params = self._strip_root()
-                length = int(self.headers.get("Content-Length", 0))
-                raw = self.rfile.read(length)
-                try:
-                    body = json.loads(raw)
-                except ValueError:
-                    raise MalformedBody("request body is not valid JSON")
+                body = self._read_json()
                 match = _PATH_RE.match(path)
                 if not match:
                     raise BadPath("cannot parse path %r" % path)
                 kind, ident, nav = match.group(1), match.group(2), match.group(3)
                 if ident is not None and nav == "Observations" and kind == "Datastreams":
-                    new_id = store.ingest_observation(
-                        int(ident), body, receipt_time=_now()
-                    )
-                    self._reply(201, store.query("Observations(%d)" % new_id),
-                                location="%s/Observations(%d)" % (root, new_id))
-                    return
-                if ident is not None or nav is not None:
+                    kind = "Observations"
+                    new_id = store.ingest_observation(int(ident), body, receipt_time=time.time())
+                elif ident is not None or nav is not None:
                     raise BadPath("can only POST to a collection")
-                if kind == "Observations":
+                elif kind == "Observations":
                     # Short alias route used by the constrained node's POST.
                     ds_id = store.observation_target(body)
                     clean = {k: v for k, v in body.items() if k != "Datastream"}
-                    new_id = store.ingest_observation(ds_id, clean, receipt_time=_now())
-                    self._reply(201, store.query("Observations(%d)" % new_id),
-                                location="%s/Observations(%d)" % (root, new_id))
-                    return
-                new_id = store.create_entity(kind, body)
+                    new_id = store.ingest_observation(ds_id, clean, receipt_time=time.time())
+                else:
+                    new_id = store.create_entity(kind, body)
                 self._reply(201, store.query("%s(%d)" % (kind, new_id)),
                             location="%s/%s(%d)" % (root, kind, new_id))
             except StError as exc:
                 self._reply(exc.status, {"error": str(exc)})
 
     return Handler
-
-
-def _now() -> float:
-    import time
-
-    return time.time()
 
 
 class BackendServer:

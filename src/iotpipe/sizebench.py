@@ -68,26 +68,24 @@ HTTP_NETWORK_IPV6_BYTES = 40
 HTTP_LINK_BYTES = 18
 
 
+# The CoAP side is measured with the node's default request (NON, 2-byte
+# token, JSON) to this path over the calibrated 802.15.4 profile.
+CALIBRATED_COAP_PATH = ("Observations",)
+LINK_PROFILE = "calibrated"
+
+
 @dataclass
 class CanonicalTemplates:
     """Everything needed to measure one observation message on each stack."""
 
-    coap_path: tuple = ("Observations",)
-    coap_config: coap.RequestConfig = field(default_factory=coap.RequestConfig)
-    link_profile: str = "calibrated"
-    http_path: str = HTTP_TEMPLATE_PATH
-    http_host: str = HTTP_TEMPLATE_HOST
-    calibrated_coap_path: bool = True  # False once coap_path deviates
+    coap_path: tuple = CALIBRATED_COAP_PATH
+
+    @property
+    def calibrated_coap_path(self) -> bool:
+        return self.coap_path == CALIBRATED_COAP_PATH
 
     def with_path(self, segments):
-        return CanonicalTemplates(
-            coap_path=tuple(segments),
-            coap_config=self.coap_config,
-            link_profile=self.link_profile,
-            http_path=self.http_path,
-            http_host=self.http_host,
-            calibrated_coap_path=tuple(segments) == ("Observations",),
-        )
+        return CanonicalTemplates(coap_path=tuple(segments))
 
 
 @dataclass
@@ -115,21 +113,13 @@ class SizeBreakdown:
         }
 
 
-def _coap_message(payload: bytes, templates: CanonicalTemplates) -> coap.CoapMessage:
-    return coap.build_observation_request(
-        list(templates.coap_path), payload, templates.coap_config
-    )
-
-
 def measure(variant: str, payload: bytes,
             templates: CanonicalTemplates = None) -> SizeBreakdown:
     """Byte breakdown of one observation message on one stack variant."""
     if templates is None:
         templates = CanonicalTemplates()
     if variant in (HTTP_IPV6_VARIANT, "HTTP_TCP_IPV4_ETH"):
-        header = http_header_block(
-            len(payload), path=templates.http_path, host=templates.http_host
-        )
+        header = http_header_block(len(payload))
         ipv6 = variant == HTTP_IPV6_VARIANT
         return SizeBreakdown(
             variant=variant,
@@ -151,27 +141,22 @@ def measure(variant: str, payload: bytes,
 
     # One application message serves both CoAP variants: header compression
     # is applied below the application and must not change these bytes.
-    msg = _coap_message(payload, templates)
+    msg = coap.build_observation_request(list(templates.coap_path), payload)
     encoded = coap.encode(msg)
     app_header = len(encoded) - len(payload)
-    link_bytes = link154.frame_overhead(templates.link_profile)
+    link_bytes = link154.frame_overhead(LINK_PROFILE)
+    cfg = stack.node_stack_config(profile=LINK_PROFILE)
+    headers = stack.udp_headers(cfg, encoded)
 
     if variant == "COAP_UDP_IPV6_154":
-        cfg = stack.node_stack_config(compress=False, profile=templates.link_profile)
-        endpoint = stack.StackEndpoint(link154.SimulatedLink().endpoints[0], cfg)
-        headers = endpoint._headers_for(encoded)
         wire = headers.serialize()
         network, transport = len(wire[:40]), len(wire[40:])
-        provenance_net = "measured"
     else:
-        cfg = stack.node_stack_config(compress=True, profile=templates.link_profile)
         ctx = lowpan.CompressionContext(
             link_src=cfg.local_link_addr, link_dst=cfg.peer_link_addr
         )
-        endpoint = stack.StackEndpoint(link154.SimulatedLink().endpoints[0], cfg)
-        compressed = lowpan.compress(endpoint._headers_for(encoded), ctx)
+        compressed = lowpan.compress(headers, ctx)
         network, transport = compressed.network_bytes, compressed.transport_bytes
-        provenance_net = "measured"
 
     return SizeBreakdown(
         variant=variant,
@@ -183,8 +168,8 @@ def measure(variant: str, payload: bytes,
         provenance={
             "payload": "measured",
             "app_header": "measured",
-            "transport": provenance_net,
-            "network": provenance_net,
+            "transport": "measured",
+            "network": "measured",
             "link": "measured (calibrated profile)",
         },
     )

@@ -31,8 +31,6 @@ class StackConfig:
     peer_port: int
     profile: str = "calibrated"
     compress: bool = True
-    elide_checksum: bool = False
-    hop_limit: int = CALIBRATED_HOP_LIMIT
 
 
 def node_stack_config(compress: bool = True, profile: str = "calibrated") -> StackConfig:
@@ -58,6 +56,21 @@ def gateway_stack_config(compress: bool = True, profile: str = "calibrated") -> 
         peer_port=NODE_PORT,
         profile=profile,
         compress=compress,
+    )
+
+
+def udp_headers(cfg: StackConfig, payload: bytes) -> lowpan.Ipv6UdpHeaders:
+    """Uncompressed IPv6/UDP headers of one datagram from ``cfg``'s local end to its peer."""
+    return lowpan.Ipv6UdpHeaders(
+        src_addr=cfg.local_ipv6,
+        dst_addr=cfg.peer_ipv6,
+        udp_src_port=cfg.local_port,
+        udp_dst_port=cfg.peer_port,
+        udp_checksum=lowpan.udp_checksum(
+            cfg.local_ipv6, cfg.peer_ipv6, cfg.local_port, cfg.peer_port, payload
+        ),
+        payload_length=8 + len(payload),
+        hop_limit=CALIBRATED_HOP_LIMIT,
     )
 
 
@@ -96,32 +109,12 @@ class StackEndpoint:
     def reassembly_expired(self) -> int:
         return self._reassembler.expired_count
 
-    def _headers_for(self, payload: bytes) -> lowpan.Ipv6UdpHeaders:
-        cfg = self.config
-        csum = lowpan.udp_checksum(
-            cfg.local_ipv6, cfg.peer_ipv6, cfg.local_port, cfg.peer_port, payload
-        )
-        return lowpan.Ipv6UdpHeaders(
-            src_addr=cfg.local_ipv6,
-            dst_addr=cfg.peer_ipv6,
-            udp_src_port=cfg.local_port,
-            udp_dst_port=cfg.peer_port,
-            udp_checksum=csum,
-            payload_length=8 + len(payload),
-            hop_limit=cfg.hop_limit,
-        )
-
-    def link_payload_budget(self) -> int:
-        return link154.MAX_FRAME - self.frame_profile.overhead()
-
     def send(self, payload: bytes, now: float = 0.0) -> TransmitRecord:
         cfg = self.config
-        headers = self._headers_for(payload)
+        headers = udp_headers(cfg, payload)
         if cfg.compress:
             ctx = lowpan.CompressionContext(
-                link_src=cfg.local_link_addr,
-                link_dst=cfg.peer_link_addr,
-                elide_checksum=cfg.elide_checksum,
+                link_src=cfg.local_link_addr, link_dst=cfg.peer_link_addr
             )
             header_bytes = lowpan.compress(headers, ctx).to_bytes()
         else:
@@ -129,7 +122,8 @@ class StackEndpoint:
         datagram = header_bytes + payload
 
         self._tag = (self._tag + 1) & 0xFFFF
-        fset = lowpan.fragment(datagram, self.link_payload_budget(), tag=self._tag)
+        budget = link154.MAX_FRAME - self.frame_profile.overhead()
+        fset = lowpan.fragment(datagram, budget, tag=self._tag)
 
         frame_sizes = []
         delivered = True

@@ -1,4 +1,5 @@
 import json
+import types
 
 from iotpipe import cli, sensorthings
 from iotpipe.pipeline import PipelineConfig, run_pipeline
@@ -47,6 +48,33 @@ def test_pipeline_seeded_rerun_is_reproducible():
     first, second = run(5), run(5)
     assert first == second
     assert run(6) != first
+
+
+def test_same_seed_runs_write_identical_artifacts(tmp_path):
+    # The journal is left out: its receipt times come from the wall clock.
+    names = ["logs/sendrecords-node0.jsonl", "logs/sendrecords-node1.jsonl",
+             "logs/gateway-metrics.jsonl", "summary.json"]
+    runs = []
+    for run in ("first", "second"):
+        run_pipeline(PipelineConfig(
+            nodes=2, observations_per_node=30, loss_probability=0.3, seed=7,
+            confirmable=True, compact_acks=True, artifacts_dir=str(tmp_path / run),
+        ))
+        runs.append([(tmp_path / run / name).read_bytes() for name in names])
+    assert runs[0] == runs[1]
+
+
+def test_serve_and_replay_run_until_interrupted(capsys, monkeypatch, tmp_path):
+    def interrupt(_seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(sleep=interrupt))
+    journal = str(tmp_path / "journal.jsonl")
+    assert cli.main(["serve", "--port", "0", "--journal", journal, "--seed-entities"]) == 0
+    assert "serving SensorThings API at http://127.0.0.1:" in capsys.readouterr().out
+    assert cli.main(["replay", journal, "--port", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "Datastreams=1" in out and "serving recovered store at http://" in out
 
 
 def test_pipeline_bad_config_exits_2(capsys):

@@ -65,6 +65,13 @@ def test_fcs_corruption_detected():
         link154.LinkFrame.parse(bytes(wire))
 
 
+@pytest.mark.parametrize("include_fcs", [True, False])
+@pytest.mark.parametrize("wire", [b"", b"\x41", b"\x41\xcc\x00"])
+def test_frame_shorter_than_its_header_rejected(wire, include_fcs):
+    with pytest.raises(link154.LinkError):
+        link154.LinkFrame.parse(wire, include_fcs=include_fcs)
+
+
 def test_oversized_frame_rejected():
     frame = link154.LinkFrame(dst_addr=EXT_B, src_addr=EXT_A, payload=b"q" * 120)
     with pytest.raises(link154.FrameTooLarge):

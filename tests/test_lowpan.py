@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iotpipe import lowpan
+from iotpipe import link154, lowpan
 
 NODE_LINK = bytes.fromhex("00124b0001020304")
 GW_LINK = bytes.fromhex("00124b00050607ff")
@@ -86,6 +86,27 @@ def test_compress_rejects_non_udp():
 def test_bad_dispatch():
     with pytest.raises(lowpan.BadDispatch):
         lowpan.parse_datagram(b"\x41\x00\x00\x00", CTX)
+
+
+@pytest.mark.parametrize("wire", ["663300", "7c3340"])
+def test_truncated_inline_fields_rejected(wire):
+    with pytest.raises(lowpan.BadDispatch):
+        lowpan.parse_datagram(bytes.fromhex(wire), CTX)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.binary(max_size=140), st.integers(0, 31), st.booleans())
+def test_decoders_raise_only_typed_errors(data, iphc_bits, include_fcs):
+    """Any bytes either decode or raise the decoder's own error type."""
+    try:
+        link154.LinkFrame.parse(data, include_fcs=include_fcs)
+    except link154.LinkError:
+        pass
+    for datagram in (data, bytes([0x60 | iphc_bits]) + data):
+        try:
+            lowpan.parse_datagram(datagram, CTX)
+        except lowpan.LowpanError:
+            pass
 
 
 def test_elided_checksum_recomputed():

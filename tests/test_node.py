@@ -8,13 +8,13 @@ def make_endpoint(loss=0.0, seed=0):
 
 
 def test_payload_for_four_digit_result_is_15_bytes():
-    assert node.serialize_payload(node.ObservationPayload(2143)) == b'{"result":2143}'
-    assert len(node.serialize_payload(node.ObservationPayload(2143))) == 15
+    assert node.serialize_payload(2143) == b'{"result":2143}'
+    assert len(node.serialize_payload(2143)) == 15
 
 
 def test_payload_sizes_follow_digit_count():
-    assert node.serialize_payload(node.ObservationPayload(0)) == b'{"result":0}'
-    assert node.serialize_payload(node.ObservationPayload(-5)) == b'{"result":-5}'
+    assert node.serialize_payload(0) == b'{"result":0}'
+    assert node.serialize_payload(-5) == b'{"result":-5}'
 
 
 def test_virtual_clock_100s_period_10_gives_10_records():

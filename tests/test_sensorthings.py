@@ -1,3 +1,4 @@
+import http.client
 import json
 import time
 
@@ -219,6 +220,55 @@ def test_http_error_statuses(backend):
     assert requests.post(
         backend.base_url + "/Sensors", json={"nope": 1}
     ).status_code == 400
+
+
+def _request(backend, method, target, length=None):
+    """(status, body) of one request whose Content-Length header is sent verbatim."""
+    conn = http.client.HTTPConnection("127.0.0.1", backend.port, timeout=5)
+    try:
+        conn.putrequest(method, backend.root + target)
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def test_http_non_numeric_content_length_is_400(backend):
+    assert _request(backend, "POST", "/Observations", length="abc")[0] == 400
+
+
+def test_http_negative_content_length_is_400(backend):
+    assert _request(backend, "POST", "/Observations", length="-5")[0] == 400
+
+
+def test_http_observation_body_must_be_an_object(backend):
+    response = requests.post(backend.base_url + "/Observations", json=[1])
+    assert response.status_code == 400
+    assert backend.store.count("Observations") == 0
+
+
+def test_http_deeply_nested_body_is_400(backend):
+    response = requests.post(backend.base_url + "/Observations", data=b"[" * 100_000)
+    assert response.status_code == 400
+
+
+def test_http_query_values_are_percent_decoded(backend, seeded_store):
+    for i in range(3):
+        seeded_store.ingest_observation(1, {"result": i}, receipt_time=0.0)
+    status, body = _request(backend, "GET", "/Observations?%24top=%31")
+    assert status == 200
+    assert len(json.loads(body)["value"]) == 1
+
+
+@pytest.mark.parametrize("key", ["$top", "$skip"])
+def test_negative_page_bounds_are_400(backend, seeded_store, key):
+    seeded_store.ingest_observation(1, {"result": 1}, receipt_time=0.0)
+    with pytest.raises(sensorthings.BadPath):
+        seeded_store.query("Observations", {key: "-1"})
+    assert _request(backend, "GET", "/Observations?%s=-1" % key)[0] == 400
 
 
 def test_http_root_listing(backend):
