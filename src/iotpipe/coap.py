@@ -236,11 +236,6 @@ def match_response(request: CoapMessage, response: CoapMessage) -> bool:
     return True
 
 
-def overhead_bytes(msg: CoapMessage) -> int:
-    """Encoded size excluding the payload bytes (marker counts as overhead)."""
-    return len(encode(msg)) - len(msg.payload)
-
-
 class MessageIdCounter:
     """Per-endpoint monotonically increasing message id, wraps at 2^16."""
 

@@ -2,14 +2,14 @@
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_FRAME = 127
 
 FRAME_TYPE_DATA = 1
-ADDR_MODE_NONE = 0
 ADDR_MODE_SHORT = 2
 ADDR_MODE_EXTENDED = 3
+PAN_ID = 0x2328  # the one PAN every simulated device joins
 
 
 class LinkError(Exception):
@@ -44,38 +44,21 @@ def crc16_kermit(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class FrameProfile:
-    """Addressing/trailer choices that fix the per-frame overhead."""
+    """Header and trailer choices. Frames carry extended addresses both ways;
+    the per-frame overhead is measured by serializing one (``stack.link_frame``)."""
 
-    name: str
-    dst_mode: int = ADDR_MODE_EXTENDED
-    src_mode: int = ADDR_MODE_EXTENDED
     pan_compression: bool = True
     include_fcs: bool = True
 
-    def overhead(self) -> int:
-        size = 2 + 1 + 2  # FCF, sequence, destination PAN
-        size += {ADDR_MODE_SHORT: 2, ADDR_MODE_EXTENDED: 8}[self.dst_mode]
-        if not self.pan_compression:
-            size += 2  # source PAN
-        size += {ADDR_MODE_SHORT: 2, ADDR_MODE_EXTENDED: 8}[self.src_mode]
-        if self.include_fcs:
-            size += 2
-        return size
-
 
 # The calibrated profile reproduces the published per-message link overhead
-# of 21 bytes: extended addresses both ways, PAN id compression, and the FCS
-# left to the (error-free) simulated medium rather than carried in-band.
+# of 21 bytes: PAN id compression, and the FCS left to the (error-free)
+# simulated medium rather than carried in-band. The extended profile carries
+# the source PAN and the FCS: 25 bytes.
 PROFILES = {
-    "calibrated": FrameProfile("calibrated", include_fcs=False),
-    "short": FrameProfile("short", dst_mode=ADDR_MODE_SHORT, src_mode=ADDR_MODE_SHORT),
-    "extended": FrameProfile("extended", pan_compression=False),
+    "calibrated": FrameProfile(include_fcs=False),
+    "extended": FrameProfile(pan_compression=False),
 }
-
-
-def frame_overhead(mode: str) -> int:
-    """Header + trailer byte count for a named addressing profile."""
-    return PROFILES[mode].overhead()
 
 
 @dataclass
@@ -84,7 +67,7 @@ class LinkFrame:
     src_addr: bytes
     payload: bytes
     sequence: int = 0
-    dst_pan: int = 0x2328
+    dst_pan: int = PAN_ID
     src_pan: int = None         # None: compressed out (same as dst_pan)
     include_fcs: bool = True
 

@@ -498,10 +498,16 @@ class Reassembler:
     def push(self, source, link_payload: bytes, now: float = 0.0):
         """Feed one link payload; returns a complete datagram or None."""
         self._expire(now)
+        if not link_payload:
+            raise BadDispatch("empty link payload")
         dispatch5 = link_payload[0] >> 3
         if dispatch5 not in (FRAG1_DISPATCH, FRAGN_DISPATCH):
             return link_payload  # unfragmented datagram passes through
+        if len(link_payload) < (4 if dispatch5 == FRAG1_DISPATCH else 5):
+            raise BadDispatch("truncated fragment header")
         size = int.from_bytes(link_payload[:2], "big") & 0x7FF
+        if size == 0:
+            raise BadDispatch("fragment header announces an empty datagram")
         tag = int.from_bytes(link_payload[2:4], "big")
         if dispatch5 == FRAG1_DISPATCH:
             offset, body = 0, link_payload[4:]

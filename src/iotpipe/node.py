@@ -171,7 +171,7 @@ class Node:
             outcome=outcome,
             response_code=response.code_str() if response else "",
             payload_bytes=len(payload),
-            coap_overhead_bytes=coap.overhead_bytes(request),
+            coap_overhead_bytes=len(encoded) - len(payload),
             net_transport_bytes=tx.net_transport_bytes,
             link_overhead_bytes=tx.link_overhead_bytes,
             total_frame_bytes=tx.total_bytes,

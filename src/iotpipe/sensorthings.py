@@ -328,7 +328,7 @@ class Store:
             if ident is None:
                 if nav is not None:
                     raise BadPath("navigation needs an entity id")
-                return self._collection(kind, self._entities[kind].values(), params)
+                return self._collection(kind, list(self._entities[kind].values()), params)
             entity = self._entities[kind].get(int(ident))
             if entity is None:
                 raise NotFound("%s(%s) does not exist" % (kind, ident))
@@ -350,8 +350,8 @@ class Store:
                 rows = [e for e in self._entities[target].values() if e[back] == entity["id"]]
             return self._collection(target, rows, params)
 
-    def _collection(self, kind: str, rows, params: dict) -> dict:
-        rows = sorted(rows, key=lambda e: e["id"])
+    def _collection(self, kind: str, rows: list, params: dict) -> dict:
+        # rows arrive in id order: ids ascend in creation order, which dicts keep
         try:
             top = int(params.get("$top", DEFAULT_TOP))
             skip = int(params.get("$skip", 0))
@@ -471,8 +471,8 @@ def _make_handler(store: Store, root: str):
 
         def do_POST(self):
             try:
+                body = self._read_json()  # first, so a rejected path leaves no body in the stream
                 path, _params = self._strip_root()
-                body = self._read_json()
                 match = _PATH_RE.match(path)
                 if not match:
                     raise BadPath("cannot parse path %r" % path)

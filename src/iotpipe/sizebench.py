@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from . import coap, link154, lowpan, stack
+from . import coap, lowpan, stack
 
 VARIANTS = ("HTTP_TCP_IPV4_ETH", "COAP_UDP_IPV6_154", "COAP_6LOWPAN_154")
 HTTP_IPV6_VARIANT = "HTTP_TCP_IPV6_ETH"
@@ -144,8 +144,8 @@ def measure(variant: str, payload: bytes,
     msg = coap.build_observation_request(list(templates.coap_path), payload)
     encoded = coap.encode(msg)
     app_header = len(encoded) - len(payload)
-    link_bytes = link154.frame_overhead(LINK_PROFILE)
     cfg = stack.node_stack_config(profile=LINK_PROFILE)
+    link_bytes = len(stack.link_frame(cfg, b"").serialize())
     headers = stack.udp_headers(cfg, encoded)
 
     if variant == "COAP_UDP_IPV6_154":

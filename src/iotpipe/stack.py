@@ -74,6 +74,19 @@ def udp_headers(cfg: StackConfig, payload: bytes) -> lowpan.Ipv6UdpHeaders:
     )
 
 
+def link_frame(cfg: StackConfig, link_payload: bytes, sequence: int = 0) -> link154.LinkFrame:
+    """The 802.15.4 frame that carries ``link_payload`` from ``cfg``'s local end to its peer."""
+    profile = link154.PROFILES[cfg.profile]
+    return link154.LinkFrame(
+        dst_addr=cfg.peer_link_addr,
+        src_addr=cfg.local_link_addr,
+        payload=link_payload,
+        sequence=sequence,
+        src_pan=None if profile.pan_compression else link154.PAN_ID,
+        include_fcs=profile.include_fcs,
+    )
+
+
 @dataclass
 class TransmitRecord:
     payload_bytes: int
@@ -100,7 +113,9 @@ class StackEndpoint:
     def __init__(self, link_endpoint: link154.LinkEndpoint, config: StackConfig):
         self.link = link_endpoint
         self.config = config
-        self.frame_profile = link154.PROFILES[config.profile]
+        empty = link_frame(config, b"")
+        self.link_overhead = len(empty.serialize())  # header + trailer bytes per frame
+        self._include_fcs = empty.include_fcs
         self._sequence = 0
         self._tag = 0
         self._reassembler = lowpan.Reassembler()
@@ -122,21 +137,13 @@ class StackEndpoint:
         datagram = header_bytes + payload
 
         self._tag = (self._tag + 1) & 0xFFFF
-        budget = link154.MAX_FRAME - self.frame_profile.overhead()
-        fset = lowpan.fragment(datagram, budget, tag=self._tag)
+        fset = lowpan.fragment(datagram, link154.MAX_FRAME - self.link_overhead, tag=self._tag)
 
         frame_sizes = []
         delivered = True
         for link_payload in fset.wire_fragments():
-            frame = link154.LinkFrame(
-                dst_addr=cfg.peer_link_addr,
-                src_addr=cfg.local_link_addr,
-                payload=link_payload,
-                sequence=self._sequence,
-                include_fcs=self.frame_profile.include_fcs,
-            )
+            wire = link_frame(cfg, link_payload, self._sequence).serialize()
             self._sequence = (self._sequence + 1) & 0xFF
-            wire = frame.serialize()
             frame_sizes.append(len(wire))
             outcome = self.link.send(wire, now=now)
             delivered = delivered and outcome.delivered
@@ -144,7 +151,7 @@ class StackEndpoint:
         return TransmitRecord(
             payload_bytes=len(payload),
             net_transport_bytes=len(header_bytes),
-            link_overhead_bytes=self.frame_profile.overhead() * len(frame_sizes),
+            link_overhead_bytes=self.link_overhead * len(frame_sizes),
             frame_sizes=frame_sizes,
             delivered=delivered,
         )
@@ -154,9 +161,7 @@ class StackEndpoint:
         out = []
         tick = now if now is not None else 0.0
         for wire in self.link.receive(now):
-            frame = link154.LinkFrame.parse(
-                wire, include_fcs=self.frame_profile.include_fcs
-            )
+            frame = link154.LinkFrame.parse(wire, include_fcs=self._include_fcs)
             datagram = self._reassembler.push(bytes(frame.src_addr), frame.payload, now=tick)
             if datagram is None:
                 continue

@@ -22,7 +22,7 @@ def test_canonical_observation_request_is_37_bytes():
     msg = coap.build_observation_request(["Observations"], PAYLOAD)
     encoded = coap.encode(msg)
     assert len(encoded) == 37
-    assert coap.overhead_bytes(msg) == 22
+    assert len(encoded) - len(msg.payload) == 22
 
 
 def test_decode_empty_ack():

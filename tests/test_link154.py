@@ -1,6 +1,6 @@
 import pytest
 
-from iotpipe import link154
+from iotpipe import link154, stack
 
 EXT_A = bytes.fromhex("00124b0001020304")
 EXT_B = bytes.fromhex("00124b00050607ff")
@@ -27,9 +27,9 @@ def test_crc_known_vector():
 
 
 def test_frame_overheads():
-    assert link154.frame_overhead("calibrated") == 21
-    assert link154.frame_overhead("short") == 11
-    assert link154.frame_overhead("extended") == 25
+    for profile, overhead in (("calibrated", 21), ("extended", 25)):
+        cfg = stack.node_stack_config(profile=profile)
+        assert len(stack.link_frame(cfg, b"").serialize()) == overhead
 
 
 def test_calibrated_overhead_matches_serialized_frame():

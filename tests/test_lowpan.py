@@ -107,6 +107,20 @@ def test_decoders_raise_only_typed_errors(data, iphc_bits, include_fcs):
             lowpan.parse_datagram(datagram, CTX)
         except lowpan.LowpanError:
             pass
+    reassembler = lowpan.Reassembler()
+    size_bits = iphc_bits & 7  # the low 3 bits of a fragment header start the size
+    for link_payload in (data, bytes([0xC0 | size_bits]) + data, bytes([0xE0 | size_bits]) + data):
+        try:
+            datagram = reassembler.push(b"s", link_payload)  # raw, behind FRAG1, behind FRAGN
+        except lowpan.LowpanError:
+            continue
+        assert datagram is None or len(datagram) > 0
+
+
+@pytest.mark.parametrize("link_payload", ["", "c010", "c01000", "e0100001", "c0000001", "e000000100"])
+def test_reassembler_rejects_malformed_fragment_headers(link_payload):
+    with pytest.raises(lowpan.BadDispatch):
+        lowpan.Reassembler().push(b"s", bytes.fromhex(link_payload))
 
 
 def test_elided_checksum_recomputed():

@@ -244,6 +244,22 @@ def test_http_negative_content_length_is_400(backend):
     assert _request(backend, "POST", "/Observations", length="-5")[0] == 400
 
 
+def test_rejected_post_path_keeps_the_connection_in_step(backend):
+    conn = http.client.HTTPConnection("127.0.0.1", backend.port, timeout=5)
+    try:
+        conn.request("POST", "/wrong/Observations", body=b'{"result":1}',
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 400
+        conn.request("GET", backend.root + "/Observations?$top=0")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+    finally:
+        conn.close()
+
+
 def test_http_observation_body_must_be_an_object(backend):
     response = requests.post(backend.base_url + "/Observations", json=[1])
     assert response.status_code == 400
