@@ -95,11 +95,7 @@ def cmd_bench(args) -> int:
     if args.path:
         segments = tuple(s for s in args.path.strip("/").split("/") if s)
         templates = templates.with_path(segments)
-    payload = b'{"result":2143}'
-    breakdowns = [sizebench.measure(v, payload, templates) for v in sizebench.VARIANTS]
-    report = sizebench.compare(
-        breakdowns, calibrated_path=templates.calibrated_coap_path
-    )
+    report = sizebench.run_default_bench(templates=templates)
     rendered = sizebench.emit_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

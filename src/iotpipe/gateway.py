@@ -12,7 +12,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from . import coap
+from . import coap, sensorthings
 from .stack import StackEndpoint
 
 
@@ -80,7 +80,7 @@ class HttpRequestModel:
     body: bytes
 
 
-# What ``HttpSession.request`` returns; ``headers.get`` is case-insensitive.
+# What a session's ``request`` returns; ``headers.get`` is case-insensitive.
 HttpReply = namedtuple("HttpReply", "status_code headers content")
 
 
@@ -157,9 +157,8 @@ class HttpSession:
         conn.timeout = timeout
         if conn.sock is not None:
             conn.sock.settimeout(timeout)
-        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
         try:
-            conn.request(method, target, body=data, headers=headers or {})
+            conn.request(method, _target(parts), body=data, headers=headers or {})
             resp = conn.getresponse()
             return HttpReply(resp.status, resp.headers, resp.read())
         except (OSError, http.client.HTTPException):
@@ -170,6 +169,35 @@ class HttpSession:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+
+
+class StoreSession:
+    """In-process session: answers through ``sensorthings.respond``.
+
+    No socket, no thread and no wall clock: receipt times come from ``clock``.
+    The URL's scheme and host are ignored.
+    """
+
+    def __init__(self, store: sensorthings.Store, clock):
+        self.store = store
+        self.clock = clock
+
+    def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
+        status, obj, location = sensorthings.respond(
+            self.store, method, _target(urlsplit(url)), data or b"", self.clock.now())
+        reply_headers = http.client.HTTPMessage()
+        reply_headers["Content-Type"] = "application/json"
+        if location:
+            reply_headers["Location"] = location
+        return HttpReply(status, reply_headers, json.dumps(obj).encode("utf-8"))
+
+    def close(self):
+        pass
+
+
+def _target(parts) -> str:
+    """Request target (path and query) of a split URL."""
+    return (parts.path or "/") + ("?" + parts.query if parts.query else "")
 
 
 def _dropped(sock) -> bool:

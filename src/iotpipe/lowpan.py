@@ -476,11 +476,9 @@ REASSEMBLY_TIMEOUT = 5.0
 @dataclass
 class _PartialDatagram:
     size: int
-    chunks: dict = field(default_factory=dict)  # offset -> bytes
-    deadline: float = 0.0
-
-    def received(self) -> int:
-        return sum(len(c) for c in self.chunks.values())
+    deadline: float
+    chunks: dict = field(default_factory=dict)  # offset -> bytes; never overlapping
+    received: int = 0
 
 
 class Reassembler:
@@ -496,7 +494,11 @@ class Reassembler:
         self.expired_count = 0
 
     def push(self, source, link_payload: bytes, now: float = 0.0):
-        """Feed one link payload; returns a complete datagram or None."""
+        """Feed one link payload; returns a complete datagram or None.
+
+        Following RFC 4944 section 5.3, a fragment that overlaps buffered ones
+        and is not an exact duplicate discards them and starts the buffer anew.
+        """
         self._expire(now)
         if not link_payload:
             raise BadDispatch("empty link payload")
@@ -513,24 +515,29 @@ class Reassembler:
             offset, body = 0, link_payload[4:]
         else:
             offset, body = link_payload[4] * 8, link_payload[5:]
+        end = offset + len(body)
+        if end > size:
+            raise BadDispatch("fragment ends at byte %d of a %d-byte datagram" % (end, size))
 
         key = (source, tag)
         entry = self._partial.get(key)
-        if entry is None or entry.size != size:
-            entry = _PartialDatagram(size=size, deadline=now + self.timeout)
-            self._partial[key] = entry
-        if offset in entry.chunks and entry.chunks[offset] != body:
-            raise OverlapMismatch("conflicting fragment at offset %d" % offset)
+        if entry is not None and entry.size == size:
+            if entry.chunks.get(offset) == body:
+                return None  # duplicate
+            for start, chunk in entry.chunks.items():
+                if start == offset or (start < end and offset < start + len(chunk)):
+                    entry = None  # overlap: discard the buffer
+                    break
+        else:
+            entry = None
+        if entry is None:
+            entry = self._partial[key] = _PartialDatagram(size, now + self.timeout)
         entry.chunks[offset] = body
-        if entry.received() == size:
-            del self._partial[key]
-            fset = FragmentSet(
-                datagram_size=size,
-                datagram_tag=tag,
-                fragments=sorted(entry.chunks.items()),
-            )
-            return reassemble(fset)
-        return None
+        entry.received += len(body)
+        if entry.received < size:
+            return None
+        del self._partial[key]
+        return b"".join(chunk for _, chunk in sorted(entry.chunks.items()))
 
     def _expire(self, now: float):
         stale = [k for k, v in self._partial.items() if v.deadline <= now]

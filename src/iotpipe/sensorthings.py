@@ -3,6 +3,8 @@
 Entity model (Thing, Location, Sensor, ObservedProperty, Datastream,
 Observation), deep insert of Things with Locations, observation ingestion,
 navigation reads, and an append-only JSON-lines journal for recovery.
+Requests are answered by one function, ``respond``; the HTTP server only
+reads and writes HTTP around it.
 """
 
 import json
@@ -56,17 +58,22 @@ KINDS = (
     "Observations",
 )
 
-# entity navigation: (kind, property) -> (target kind, link field, plural)
+# entity navigation: (kind, property) -> (target kind, back-link). A property
+# named after its target collection is plural. The store holds the linked ids
+# of a navigation without a back-link; one with a back-link is found by
+# scanning the target's back-link for the entity's id.
 NAVIGATIONS = {
-    ("Things", "Locations"): ("Locations", "location_ids", True),
-    ("Things", "Datastreams"): ("Datastreams", None, True),
-    ("Datastreams", "Observations"): ("Observations", None, True),
-    ("Datastreams", "Thing"): ("Things", "thing_id", False),
-    ("Datastreams", "Sensor"): ("Sensors", "sensor_id", False),
-    ("Datastreams", "ObservedProperty"): ("ObservedProperties", "observed_property_id", False),
-    ("Observations", "Datastream"): ("Datastreams", "datastream_id", False),
+    ("Things", "Locations"): ("Locations", None),
+    ("Things", "Datastreams"): ("Datastreams", "Thing"),
+    ("Datastreams", "Observations"): ("Observations", "Datastream"),
+    ("Datastreams", "Thing"): ("Things", None),
+    ("Datastreams", "Sensor"): ("Sensors", None),
+    ("Datastreams", "ObservedProperty"): ("ObservedProperties", None),
+    ("Observations", "Datastream"): ("Datastreams", None),
 }
+_NAV_NAMES = {kind: [nav for src, nav in NAVIGATIONS if src == kind] for kind in KINDS}
 
+ROOT = "/v1.0"
 DEFAULT_TOP = 100
 DEFAULT_DATASTREAM_ID = 1  # target of a bare /Observations POST
 
@@ -90,6 +97,8 @@ def _link_id(body, key):
     ref = body.get(key)
     if not isinstance(ref, dict) or "@iot.id" not in ref:
         raise ValidationError("missing %s link" % key)
+    if not isinstance(ref["@iot.id"], (int, float)):
+        raise ValidationError("%s link id must be a number" % key)
     return ref["@iot.id"]
 
 
@@ -100,8 +109,9 @@ class Store:
     """
 
     def __init__(self, journal_path=None):
-        self._entities = {kind: {} for kind in KINDS}
-        self._next_id = {kind: 1 for kind in KINDS}
+        self._entities = {kind: {} for kind in KINDS}  # kind -> id -> served fields
+        # (kind, navigation) -> id -> linked id (or id list), for stored links
+        self._links = {key: {} for key, (_target, back) in NAVIGATIONS.items() if back is None}
         self._lock = threading.RLock()
         self._journal_file = None
         self.journal_path = journal_path
@@ -118,20 +128,15 @@ class Store:
             self._journal_file.write(json.dumps(record, separators=(",", ":")) + "\n")
             self._journal_file.flush()
 
-    def _assign_id(self, kind: str) -> int:
-        new_id = self._next_id[kind]
-        self._next_id[kind] = new_id + 1
+    def _add(self, kind: str, fields: dict, **links) -> int:
+        """Store one entity under the next id (ids ascend and are never reused)."""
+        new_id = len(self._entities[kind]) + 1
+        self._entities[kind][new_id] = fields
+        for nav, linked in links.items():
+            self._links[(kind, nav)][new_id] = linked
         return new_id
 
     # -- creation ----------------------------------------------------------
-
-    def observation_target(self, body) -> int:
-        """Datastream id for a bare /Observations POST: explicit link or default."""
-        if not isinstance(body, dict):
-            raise MalformedBody("observation body must be a JSON object")
-        if "Datastream" in body:
-            return _link_id(body, "Datastream")
-        return DEFAULT_DATASTREAM_ID
 
     def create_entity(self, kind: str, body, _journal=True):
         """Create one entity (deep insert supported for Things); returns id."""
@@ -148,15 +153,12 @@ class Store:
     def _create_location(self, body) -> int:
         name = _require_str(body, "name")
         coords = self._validate_location(body)
-        new_id = self._assign_id("Locations")
-        self._entities["Locations"][new_id] = {
-            "id": new_id,
+        return self._add("Locations", {
             "name": name,
             "description": body.get("description", ""),
-            "encoding_type": body.get("encodingType", "application/vnd.geo+json"),
+            "encodingType": body.get("encodingType", "application/vnd.geo+json"),
             "location": {"type": "Point", "coordinates": list(coords)},
-        }
-        return new_id
+        })
 
     def _create_thing(self, body) -> int:
         name = _require_str(body, "name")
@@ -170,16 +172,11 @@ class Store:
                 raise ValidationError("each Location must be an object")
             _require_str(loc, "name")
             self._validate_location(loc)
-        location_ids = [self._create_location(loc) for loc in locations]
-        new_id = self._assign_id("Things")
-        self._entities["Things"][new_id] = {
-            "id": new_id,
+        return self._add("Things", {
             "name": name,
             "description": body.get("description", ""),
             "properties": body.get("properties", {}),
-            "location_ids": location_ids,
-        }
-        return new_id
+        }, Locations=[self._create_location(loc) for loc in locations])
 
     def _validate_location(self, body) -> list:
         """The [lon, lat] of a GeoJSON Point location, checked for range."""
@@ -198,27 +195,19 @@ class Store:
         return coords
 
     def _create_sensor(self, body) -> int:
-        name = _require_str(body, "name")
-        new_id = self._assign_id("Sensors")
-        self._entities["Sensors"][new_id] = {
-            "id": new_id,
-            "name": name,
+        return self._add("Sensors", {
+            "name": _require_str(body, "name"),
             "description": body.get("description", ""),
-            "encoding_type": body.get("encodingType", "application/pdf"),
+            "encodingType": body.get("encodingType", "application/pdf"),
             "metadata": body.get("metadata", ""),
-        }
-        return new_id
+        })
 
     def _create_observed_property(self, body) -> int:
-        name = _require_str(body, "name")
-        new_id = self._assign_id("ObservedProperties")
-        self._entities["ObservedProperties"][new_id] = {
-            "id": new_id,
-            "name": name,
+        return self._add("ObservedProperties", {
+            "name": _require_str(body, "name"),
             "definition": body.get("definition", ""),
             "description": body.get("description", ""),
-        }
-        return new_id
+        })
 
     def _create_datastream(self, body) -> int:
         name = _require_str(body, "name")
@@ -232,21 +221,17 @@ class Store:
         if op_id not in self._entities["ObservedProperties"]:
             raise BrokenReference("unknown ObservedProperty %r" % op_id)
         uom = body.get("unitOfMeasurement", {})
-        new_id = self._assign_id("Datastreams")
-        self._entities["Datastreams"][new_id] = {
-            "id": new_id,
+        if not isinstance(uom, dict):
+            raise ValidationError("unitOfMeasurement must be an object")
+        return self._add("Datastreams", {
             "name": name,
             "description": body.get("description", ""),
-            "unit_of_measurement": {
+            "unitOfMeasurement": {
                 "name": uom.get("name", ""),
                 "symbol": uom.get("symbol", ""),
                 "definition": uom.get("definition", ""),
             },
-            "thing_id": thing_id,
-            "sensor_id": sensor_id,
-            "observed_property_id": op_id,
-        }
-        return new_id
+        }, Thing=thing_id, Sensor=sensor_id, ObservedProperty=op_id)
 
     _creators = {
         "Things": _create_thing,
@@ -278,37 +263,20 @@ class Store:
             raise UnknownDatastream("no datastream %r" % datastream_id)
         if not isinstance(body, dict) or "result" not in body:
             raise MalformedBody("observation body must contain a result")
-        phenomenon = body.get("phenomenonTime", receipt_iso)
-        result_time = body.get("resultTime", receipt_iso)
-        new_id = self._assign_id("Observations")
-        self._entities["Observations"][new_id] = {
-            "id": new_id,
-            "datastream_id": datastream_id,
+        return self._add("Observations", {
             "result": body["result"],
-            "phenomenon_time": phenomenon,
-            "result_time": result_time,
-        }
-        return new_id
+            "phenomenonTime": body.get("phenomenonTime", receipt_iso),
+            "resultTime": body.get("resultTime", receipt_iso),
+        }, Datastream=datastream_id)
 
     # -- queries -----------------------------------------------------------
 
-    def _render(self, kind: str, entity: dict) -> dict:
-        out = {"@iot.id": entity["id"], "@iot.selfLink": "/%s(%d)" % (kind, entity["id"])}
-        hidden = {"id", "location_ids", "thing_id", "sensor_id",
-                  "observed_property_id", "datastream_id"}
-        rename = {
-            "encoding_type": "encodingType",
-            "unit_of_measurement": "unitOfMeasurement",
-            "phenomenon_time": "phenomenonTime",
-            "result_time": "resultTime",
-        }
-        for key, value in entity.items():
-            if key in hidden:
-                continue
-            out[rename.get(key, key)] = value
-        for (src, nav), _target in NAVIGATIONS.items():
-            if src == kind:
-                out["%s@iot.navigationLink" % nav] = "/%s(%d)/%s" % (kind, entity["id"], nav)
+    def _render(self, kind: str, ident: int) -> dict:
+        self_link = "/%s(%d)" % (kind, ident)
+        out = {"@iot.id": ident, "@iot.selfLink": self_link}
+        out.update(self._entities[kind][ident])
+        for nav in _NAV_NAMES[kind]:
+            out[nav + "@iot.navigationLink"] = "%s/%s" % (self_link, nav)
         return out
 
     def count(self, kind: str) -> int:
@@ -321,37 +289,33 @@ class Store:
         match = _PATH_RE.match(path.strip("/"))
         if not match:
             raise BadPath("cannot parse path %r" % path)
-        kind, ident, nav = match.group(1), match.group(2), match.group(3)
+        kind, ident, nav = match.groups()
         if kind not in KINDS:
             raise BadPath("unknown collection %r" % kind)
         with self._lock:
             if ident is None:
                 if nav is not None:
                     raise BadPath("navigation needs an entity id")
-                return self._collection(kind, list(self._entities[kind].values()), params)
-            entity = self._entities[kind].get(int(ident))
-            if entity is None:
+                return self._collection(kind, list(self._entities[kind]), params)
+            entity_id = int(ident)
+            if entity_id not in self._entities[kind]:
                 raise NotFound("%s(%s) does not exist" % (kind, ident))
             if nav is None:
-                return self._render(kind, entity)
+                return self._render(kind, entity_id)
             try:
-                target, link, plural = NAVIGATIONS[(kind, nav)]
+                target, back = NAVIGATIONS[(kind, nav)]
             except KeyError:
                 raise BadPath("no navigation %s under %s" % (nav, kind))
-            if not plural:
-                linked = self._entities[target].get(entity[link])
-                if linked is None:
-                    raise NotFound("dangling %s link" % nav)
-                return self._render(target, linked)
-            if link is not None:
-                rows = [self._entities[target][i] for i in entity[link]]
-            else:
-                back = {"Datastreams": "thing_id", "Observations": "datastream_id"}[target]
-                rows = [e for e in self._entities[target].values() if e[back] == entity["id"]]
-            return self._collection(target, rows, params)
+            if back is not None:
+                ids = [i for i, owner in self._links[(target, back)].items() if owner == entity_id]
+                return self._collection(target, ids, params)
+            linked = self._links[(kind, nav)][entity_id]
+            if nav == target:  # plural
+                return self._collection(target, linked, params)
+            return self._render(target, int(linked))  # a link posted as 1.0 names entity 1
 
-    def _collection(self, kind: str, rows: list, params: dict) -> dict:
-        # rows arrive in id order: ids ascend in creation order, which dicts keep
+    def _collection(self, kind: str, ids: list, params: dict) -> dict:
+        # ids ascend: they are assigned in creation order, which dicts and lists keep
         try:
             top = int(params.get("$top", DEFAULT_TOP))
             skip = int(params.get("$skip", 0))
@@ -359,10 +323,9 @@ class Store:
             raise BadPath("$top/$skip must be integers")
         if top < 0 or skip < 0:
             raise BadPath("$top/$skip must not be negative")
-        page = rows[skip:skip + top]
         return {
-            "@iot.count": len(rows),
-            "value": [self._render(kind, e) for e in page],
+            "@iot.count": len(ids),
+            "value": [self._render(kind, i) for i in ids[skip:skip + top]],
         }
 
     # -- persistence -------------------------------------------------------
@@ -401,22 +364,66 @@ class Store:
         op = record["op"]
         if op == "create":
             self.create_entity(record["kind"], record["body"], _journal=False)
-        elif op == "observation":
-            ds_id = record["datastream_id"]
-            body = record["body"]
-            receipt_iso = record["time"]
-            with self._lock:
-                self._ingest(ds_id, body, receipt_iso)
+        elif op == "observation":  # no lock: the store being recovered is not shared yet
+            self._ingest(record["datastream_id"], record["body"], record["time"])
         else:
             raise CorruptJournal("unknown journal op %r" % op)
 
 
-# -- HTTP layer -------------------------------------------------------------
+# -- requests ---------------------------------------------------------------
+
+
+def respond(store: Store, method: str, target: str, body: bytes, now: float,
+            root: str = ROOT):
+    """Answer one request: (status, JSON object, Location or None).
+
+    ``target`` is the request path with its query; ``now`` stamps the receipt
+    time of an ingested observation. The HTTP handler and the gateway's
+    in-process session both answer through here.
+    """
+    try:
+        if method not in ("GET", "POST"):
+            return 405, {"error": "method %s not allowed" % method}, None
+        if method == "POST":
+            try:
+                body = json.loads(body)
+            except (ValueError, RecursionError):  # RecursionError: nested too deep
+                raise MalformedBody("request body is not valid JSON")
+        path, _, query = target.partition("?")
+        if path != root and not path.startswith(root + "/"):
+            raise BadPath("paths are rooted at %s" % root)
+        path = path[len(root):].strip("/")
+        if method == "GET":
+            if not path:
+                return 200, {"value": [
+                    {"name": kind, "url": root + "/" + kind} for kind in KINDS
+                ]}, None
+            return 200, store.query(path, dict(parse_qsl(query, keep_blank_values=True))), None
+        match = _PATH_RE.match(path)
+        if not match:
+            raise BadPath("cannot parse path %r" % path)
+        kind, ident, nav = match.groups()
+        if ident is not None and nav == "Observations" and kind == "Datastreams":
+            kind = "Observations"
+            new_id = store.ingest_observation(int(ident), body, receipt_time=now)
+        elif ident is not None or nav is not None:
+            raise BadPath("can only POST to a collection")
+        elif kind == "Observations":
+            # Short alias route used by the constrained node's POST.
+            if not isinstance(body, dict):
+                raise MalformedBody("observation body must be a JSON object")
+            ds_id = _link_id(body, "Datastream") if "Datastream" in body else DEFAULT_DATASTREAM_ID
+            body = {k: v for k, v in body.items() if k != "Datastream"}
+            new_id = store.ingest_observation(ds_id, body, receipt_time=now)
+        else:
+            new_id = store.create_entity(kind, body)
+        return (201, store.query("%s(%d)" % (kind, new_id)),
+                "%s/%s(%d)" % (root, kind, new_id))
+    except StError as exc:
+        return exc.status, {"error": str(exc)}, None
 
 
 def _make_handler(store: Store, root: str):
-    root = "/" + root.strip("/")
-
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         disable_nagle_algorithm = True
@@ -424,7 +431,19 @@ def _make_handler(store: Store, root: str):
         def log_message(self, fmt, *args):
             pass
 
-        def _reply(self, status, obj, location=None):
+        def _handle(self):
+            # Read the body of every method, so none is left in a keep-alive stream.
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                status, obj, location = 400, {
+                    "error": "Content-Length must be a non-negative integer"}, None
+            else:
+                status, obj, location = respond(store, self.command, self.path,
+                                                self.rfile.read(length), time.time(), root)
             body = json.dumps(obj).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -436,63 +455,7 @@ def _make_handler(store: Store, root: str):
             self.end_headers()
             self.wfile.write(body)
 
-        def _strip_root(self):
-            path, _, query = self.path.partition("?")
-            if path != root and not path.startswith(root + "/"):
-                raise BadPath("paths are rooted at %s" % root)
-            params = dict(parse_qsl(query, keep_blank_values=True))
-            return path[len(root):].strip("/"), params
-
-        def _read_json(self):
-            """The request body, parsed; a body of unknown length closes the connection."""
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                length = -1
-            if length < 0:
-                self.close_connection = True
-                raise MalformedBody("Content-Length must be a non-negative integer")
-            try:
-                return json.loads(self.rfile.read(length))
-            except (ValueError, RecursionError):  # RecursionError: nested too deep
-                raise MalformedBody("request body is not valid JSON")
-
-        def do_GET(self):
-            try:
-                path, params = self._strip_root()
-                if not path:
-                    self._reply(200, {"value": [
-                        {"name": kind, "url": root + "/" + kind} for kind in KINDS
-                    ]})
-                    return
-                self._reply(200, store.query(path, params))
-            except StError as exc:
-                self._reply(exc.status, {"error": str(exc)})
-
-        def do_POST(self):
-            try:
-                body = self._read_json()  # first, so a rejected path leaves no body in the stream
-                path, _params = self._strip_root()
-                match = _PATH_RE.match(path)
-                if not match:
-                    raise BadPath("cannot parse path %r" % path)
-                kind, ident, nav = match.group(1), match.group(2), match.group(3)
-                if ident is not None and nav == "Observations" and kind == "Datastreams":
-                    kind = "Observations"
-                    new_id = store.ingest_observation(int(ident), body, receipt_time=time.time())
-                elif ident is not None or nav is not None:
-                    raise BadPath("can only POST to a collection")
-                elif kind == "Observations":
-                    # Short alias route used by the constrained node's POST.
-                    ds_id = store.observation_target(body)
-                    clean = {k: v for k, v in body.items() if k != "Datastream"}
-                    new_id = store.ingest_observation(ds_id, clean, receipt_time=time.time())
-                else:
-                    new_id = store.create_entity(kind, body)
-                self._reply(201, store.query("%s(%d)" % (kind, new_id)),
-                            location="%s/%s(%d)" % (root, kind, new_id))
-            except StError as exc:
-                self._reply(exc.status, {"error": str(exc)})
+        do_GET = do_POST = do_PUT = do_DELETE = _handle
 
     return Handler
 
@@ -503,12 +466,12 @@ class BackendServer:
     POLL_INTERVAL = 0.05  # s between serve_forever's shutdown checks; bounds stop()
 
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0,
-                 root: str = "/v1.0"):
+                 root: str = ROOT):
         self.store = store
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(store, root))
+        self.root = "/" + root.strip("/")
+        self._httpd = ThreadingHTTPServer((host, port), _make_handler(store, self.root))
         self._httpd.daemon_threads = True
         self._thread = None
-        self.root = "/" + root.strip("/")
 
     @property
     def port(self) -> int:

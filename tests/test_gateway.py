@@ -106,13 +106,13 @@ def build_pair():
     """Builds (node endpoint, gateway) pairs; closes their sessions afterwards."""
     gateways = []
 
-    def build(base_url, loss=0.0, seed=0, mapping=None, timeout=5.0):
+    def build(base_url, loss=0.0, seed=0, mapping=None, timeout=5.0, session=None):
         link = link154.SimulatedLink(link154.LinkConfig(loss_probability=loss, seed=seed))
         node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config())
         gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config())
         gw = gateway.Gateway(
             gw_ep, gateway.UpstreamConfig(base_url=base_url, timeout=timeout),
-            mapping=mapping,
+            mapping=mapping, session=session,
         )
         gateways.append(gw)
         return node_ep, gw
@@ -277,6 +277,118 @@ def test_silent_upstream_times_out_with_5_04(build_pair):
     assert records[0].response_code == "5.04"
     assert gw.metrics.upstream_errors == 1
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("in_process", [False, True])
+def test_coap_put_is_4_05(backend, build_pair, in_process):
+    if in_process:
+        session = gateway.StoreSession(backend.store, VirtualClock())
+        node_ep, gw = build_pair("http://sim/v1.0", session=session)
+    else:
+        node_ep, gw = build_pair(backend.base_url)
+    put = coap.CoapMessage(coap.MsgType.CON, coap.METHOD_PUT, 7, token=b"\x07",
+                           options=[(coap.OPT_URI_PATH, b"Things(1)")], payload=b"{}")
+    node_ep.send(coap.encode(put), now=0.0)
+    gw.process_pending(0.0)
+    (reply,) = node_ep.receive(0.0)
+    assert coap.decode(reply.payload).code == (4, 5)
+    assert gw.metrics.upstream_errors == 0
+
+
+# -- the in-process session --------------------------------------------------
+
+PINNED = b',"phenomenonTime":"2018-04-01T00:00:00Z","resultTime":"2018-04-01T00:00:01Z"}'
+SEAM_REQUESTS = [
+    ("GET", "", b""),
+    ("GET", "/Things(1)", b""),
+    ("GET", "/Things(1)/Locations", b""),
+    ("GET", "/Things(1)/Datastreams", b""),
+    ("GET", "/Datastreams(1)/Observations?$top=1&$skip=1", b""),
+    ("GET", "/Observations(2)/Datastream", b""),
+    ("POST", "/Observations", b'{"result":1' + PINNED),
+    ("POST", "/Observations", b'{"result":2,"Datastream":{"@iot.id":1}' + PINNED),
+    ("POST", "/Datastreams(1)/Observations", b'{"result":3' + PINNED),
+    ("POST", "/Sensors", b'{"name":"s"}'),
+    ("GET", "/Observations?%24top=2&$skip=3", b""),
+    ("GET", "/Datastreams(99)", b""),
+    ("GET", "/Observations?$top=-1", b""),
+    ("GET", "/Things(1)/Bogus", b""),
+    ("POST", "/Observations", b"not json"),
+    ("POST", "/Observations", b'{"Datastream":{"@iot.id":9},"result":1}'),
+    ("POST", "/Things(1)", b"{}"),
+    ("PUT", "/Things(1)", b"{}"),
+    ("DELETE", "/Things(1)", b""),
+]
+
+
+def seam_replies(session, base_url):
+    """(status, Location, body) of each of SEAM_REQUESTS on a fresh seeded store."""
+    replies = []
+    for method, path, body in SEAM_REQUESTS:
+        reply = session.request(method, base_url + path, data=body, timeout=5.0)
+        replies.append((reply.status_code, reply.headers.get("location"), reply.content))
+    return replies
+
+
+def seeded_with_observations():
+    store = sensorthings.Store()
+    sensorthings.seed_default_entities(store)
+    for i in range(3):
+        store.ingest_observation(1, {"result": i}, receipt_time=1000.0 + i)
+    return store
+
+
+def test_store_session_answers_like_the_http_backend():
+    server = sensorthings.BackendServer(seeded_with_observations()).start()
+    session = gateway.HttpSession()
+    try:
+        over_http = seam_replies(session, server.base_url)
+    finally:
+        session.close()
+        server.stop()
+    in_process = seam_replies(
+        gateway.StoreSession(seeded_with_observations(), VirtualClock()), "http://sim/v1.0")
+    assert in_process == over_http
+    assert {status for status, _, _ in over_http} == {200, 201, 400, 404, 405}
+
+
+def run_in_process(journal, seed):
+    """2 CON nodes at 30 % loss with compact ACKs, each through its own gateway
+    to one StoreSession on the nodes' clock; returns the send records."""
+    clock = VirtualClock()
+    store = sensorthings.Store(journal_path=str(journal))
+    sensorthings.seed_default_entities(store)
+    session = gateway.StoreSession(store, clock)
+    gateways, nodes = [], []
+    for i in range(2):
+        link = link154.SimulatedLink(link154.LinkConfig(loss_probability=0.3, seed=seed + i))
+        gateways.append(gateway.Gateway(
+            stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
+            gateway.UpstreamConfig(base_url="http://sim/v1.0"),
+            mapping=gateway.ProxyMapping(strip_success_bodies=True), session=session,
+        ))
+        config = node.NodeConfig(reliability=node.Reliability(confirmable=True))
+        node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config())
+        nodes.append(node.Node(config, node_ep, clock, node_id=i))
+
+    def pump(now):
+        for one in gateways:
+            one.process_pending(now)
+
+    for _ in range(30):
+        clock.sleep(10.0)
+        for one in nodes:
+            one.send_observation(pump=pump)
+    store.close()
+    return [record for one in nodes for record in one.records]
+
+
+def test_same_seed_in_process_runs_write_identical_journals(tmp_path):
+    records = run_in_process(tmp_path / "a.jsonl", seed=7)
+    run_in_process(tmp_path / "b.jsonl", seed=7)
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    assert any(r.attempts > 1 for r in records)  # the loss made nodes retransmit
+    assert sum(r.outcome == "acked" for r in records) > 0
 
 
 def test_runtime_does_not_import_requests():

@@ -123,6 +123,52 @@ def test_reassembler_rejects_malformed_fragment_headers(link_payload):
         lowpan.Reassembler().push(b"s", bytes.fromhex(link_payload))
 
 
+def frag(size, offset, body, tag=1):
+    """A FRAG1 link payload at offset 0, a FRAGN one elsewhere."""
+    dispatch = lowpan.FRAG1_DISPATCH if offset == 0 else lowpan.FRAGN_DISPATCH
+    header = ((dispatch << 11) | size).to_bytes(2, "big") + tag.to_bytes(2, "big")
+    return header + (bytes([offset // 8]) if offset else b"") + body
+
+
+def test_overlap_at_another_offset_restarts_reassembly():
+    datagram = bytes(range(24))
+    r = lowpan.Reassembler()
+    assert r.push(b"s", frag(24, 0, datagram[:16])) is None
+    assert r.push(b"s", frag(24, 8, datagram[8:16])) is None  # discards [0, 16)
+    assert r.push(b"s", frag(24, 16, datagram[16:])) is None
+    assert r.push(b"s", frag(24, 0, datagram[:8])) == datagram
+
+
+def test_fragment_past_the_datagram_end_is_rejected():
+    datagram = bytes(range(24))
+    r = lowpan.Reassembler()
+    with pytest.raises(lowpan.BadDispatch):
+        r.push(b"s", frag(24, 16, datagram[:16]))
+    assert r.push(b"s", frag(24, 0, datagram[:16])) is None
+    assert r.push(b"s", frag(24, 16, datagram[16:])) == datagram
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.lists(st.tuples(st.integers(0, 37), st.integers(1, 300)), max_size=12),
+    st.integers(min_value=16, max_value=127),
+)
+def test_overlapping_fragments_never_yield_wrong_bytes(size, cuts, budget):
+    """Slices of one datagram, overlapping at any offset, never raise and never
+    complete to other bytes; two clean passes of its fragments then complete it."""
+    datagram = bytes((i * 7 + 3) & 0xFF for i in range(size))
+    r = lowpan.Reassembler()
+    done = []
+    for slot, length in cuts:
+        offset = min(slot * 8, (size - 1) & ~7)
+        done.append(r.push(b"s", frag(size, offset, datagram[offset:offset + length])))
+    clean = [frag(size, offset, chunk) for offset, chunk in lowpan.fragment(datagram, budget).fragments]
+    done += [r.push(b"s", wire) for wire in clean + clean]
+    done = [d for d in done if d is not None]
+    assert done and all(d == datagram for d in done)
+
+
 def test_elided_checksum_recomputed():
     ctx = lowpan.CompressionContext(
         link_src=NODE_LINK, link_dst=GW_LINK, elide_checksum=True

@@ -244,20 +244,46 @@ def test_http_negative_content_length_is_400(backend):
     assert _request(backend, "POST", "/Observations", length="-5")[0] == 400
 
 
-def test_rejected_post_path_keeps_the_connection_in_step(backend):
+def _on_one_connection(backend, requests):
+    """(status, headers, body) of each (method, target, body) sent on one connection."""
     conn = http.client.HTTPConnection("127.0.0.1", backend.port, timeout=5)
+    replies = []
     try:
-        conn.request("POST", "/wrong/Observations", body=b'{"result":1}',
-                     headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        response.read()
-        assert response.status == 400
-        conn.request("GET", backend.root + "/Observations?$top=0")
-        response = conn.getresponse()
-        response.read()
-        assert response.status == 200
+        for method, target, body in requests:
+            conn.request(method, target, body=body)
+            response = conn.getresponse()
+            replies.append((response.status, response.headers, response.read()))
     finally:
         conn.close()
+    return replies
+
+
+def test_rejected_post_path_keeps_the_connection_in_step(backend):
+    replies = _on_one_connection(backend, [
+        ("POST", "/wrong/Observations", b'{"result":1}'),
+        ("GET", backend.root + "/Observations?$top=0", None),
+    ])
+    assert [status for status, _, _ in replies] == [400, 200]
+
+
+def test_get_with_a_body_keeps_the_connection_in_step(backend):
+    replies = _on_one_connection(backend, [
+        ("GET", backend.root + "/Things(1)", b'{"ignored":1}'),
+        ("GET", backend.root + "/Things(1)", None),
+    ])
+    assert [status for status, _, _ in replies] == [200, 200]
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE"])
+def test_other_methods_are_405_with_a_json_error(backend, method):
+    replies = _on_one_connection(backend, [
+        (method, backend.root + "/Things(1)", b"{}"),
+        ("GET", backend.root + "/Things(1)", None),
+    ])
+    (status, headers, body), (follow_up, _, _) = replies
+    assert (status, follow_up) == (405, 200)
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {"error": "method %s not allowed" % method}
 
 
 def test_http_observation_body_must_be_an_object(backend):
@@ -269,6 +295,20 @@ def test_http_observation_body_must_be_an_object(backend):
 def test_http_deeply_nested_body_is_400(backend):
     response = requests.post(backend.base_url + "/Observations", data=b"[" * 100_000)
     assert response.status_code == 400
+
+
+@pytest.mark.parametrize("path,body,error", [
+    ("/Observations", b'{"Datastream":{"@iot.id":[1]},"result":1}',
+     "Datastream link id must be a number"),
+    ("/Datastreams", b'{"name":"d","Thing":{"@iot.id":{}},"Sensor":{"@iot.id":1},'
+                     b'"ObservedProperty":{"@iot.id":1}}', "Thing link id must be a number"),
+    ("/Datastreams", b'{"name":"d","unitOfMeasurement":"C","Thing":{"@iot.id":1},'
+                     b'"Sensor":{"@iot.id":1},"ObservedProperty":{"@iot.id":1}}',
+     "unitOfMeasurement must be an object"),
+])
+def test_malformed_nested_values_are_400(seeded_store, path, body, error):
+    reply = sensorthings.respond(seeded_store, "POST", "/v1.0" + path, body, 0.0)
+    assert reply == (400, {"error": error}, None)
 
 
 def test_http_query_values_are_percent_decoded(backend, seeded_store):
