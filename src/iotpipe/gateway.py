@@ -5,14 +5,18 @@ the backend, maps the responses back, and crosses from IPv6 (link side) to
 IPv4 (upstream side). Payloads pass through byte-identical.
 """
 
+import functools
 import http.client
 import json
+import re
 import select
+import socket
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from . import coap, sensorthings
+from .sensorthings import MAX_HEADERS, MAX_LINE
 from .stack import StackEndpoint
 
 
@@ -132,7 +136,13 @@ def _reply_to(request: coap.CoapMessage, code: tuple, options=(), payload=b""):
 
 
 class HttpSession:
-    """Keep-alive HTTP/1.1 client on the standard library.
+    """Keep-alive HTTP/1.1 client for the upstream hop, on plain sockets.
+
+    Speaks the subset the hop needs. Each request goes out in one send: the
+    request line, ``Host``, the caller's headers and ``Content-Length``. A
+    reply is framed by ``Content-Length``, by chunked coding or by the end of
+    the connection; a 1xx reply before it is skipped, and a malformed one
+    raises an ``http.client.HTTPException``.
 
     Opens one connection on first use and reuses it. A connection the server
     has closed while idle is replaced before anything is sent. Any transport
@@ -142,33 +152,160 @@ class HttpSession:
     """
 
     def __init__(self):
-        self._conn = None
+        self._sock = None
+        self._rfile = None      # the one buffered reader of the open connection
         self._origin = None     # (scheme, host, port) of the open connection
 
     def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
-        parts = urlsplit(url)
-        origin = (parts.scheme, parts.hostname, parts.port)
-        if self._conn is not None and (origin != self._origin or _dropped(self._conn.sock)):
+        origin, target, host = _split(url)
+        head = "%s %s HTTP/1.1\r\nHost: %s\r\n" % (method, target, host)
+        for name, value in (headers or {}).items():
+            head += "%s: %s\r\n" % (name, value)
+        if data is not None:
+            head += "Content-Length: %d\r\n" % len(data)
+        message = (head + "\r\n").encode("latin-1") + (data or b"")
+
+        if self._sock is not None and (origin != self._origin or _dropped(self._sock)):
             self.close()
-        if self._conn is None:
-            cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-            self._conn, self._origin = cls(parts.hostname, parts.port), origin
-        conn = self._conn
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
         try:
-            conn.request(method, _target(parts), body=data, headers=headers or {})
-            resp = conn.getresponse()
-            return HttpReply(resp.status, resp.headers, resp.read())
+            if self._sock is None:
+                self._connect(origin, timeout)
+            else:
+                self._sock.settimeout(timeout)
+            self._sock.sendall(message)
+            reply, keep_alive = _read_reply(self._rfile)
         except (OSError, http.client.HTTPException):
             self.close()
             raise
+        if not keep_alive:
+            self.close()
+        return reply
+
+    def _connect(self, origin, timeout):
+        scheme, hostname, port = origin
+        https = scheme == "https"
+        sock = socket.create_connection((hostname, port or (443 if https else 80)), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if https:
+                import ssl
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=hostname)
+        except OSError:
+            sock.close()
+            raise
+        self._sock, self._rfile, self._origin = sock, sock.makefile("rb"), origin
 
     def close(self):
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
+
+
+_UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
+
+
+@functools.lru_cache(maxsize=64)
+def _split(url: str):
+    """(origin, request target, Host field value) of a URL; the origin is
+    (scheme, host, port)."""
+    parts = urlsplit(url)
+    target = _target(parts)
+    if _UNSAFE_TARGET.search(target):
+        raise http.client.InvalidURL("request target %r is not printable ASCII" % target)
+    host = parts.hostname or ""
+    if ":" in host:
+        host = "[%s]" % host
+    if parts.port is not None:
+        host = "%s:%d" % (host, parts.port)
+    return (parts.scheme, parts.hostname, parts.port), target, host
+
+
+def _read_reply(rfile):
+    """(HttpReply, keep-alive) of the next final reply on ``rfile``."""
+    status = 100
+    while 100 <= status < 200:
+        line = rfile.readline(MAX_LINE + 1)
+        if not line:
+            raise http.client.RemoteDisconnected("upstream closed the connection without a reply")
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("status line")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version in (b"HTTP/1.1", b"HTTP/1.0") and code.isdigit()
+                and code[0] != 48 and rest[3:4] in (b" ", b"\r", b"\n")):
+            raise http.client.BadStatusLine(repr(line))
+        status = int(code)
+        headers = _read_fields(rfile)
+
+    connection = (headers.get("Connection") or "").lower()
+    if version == b"HTTP/1.1":
+        keep_alive = "close" not in connection
+    else:
+        keep_alive = "keep-alive" in connection
+    coding = headers.get("Transfer-Encoding")
+    length = headers.get("Content-Length")
+    if status in (204, 304):
+        content = b""
+    elif coding is not None:
+        if coding.rsplit(",", 1)[-1].strip().lower() == "chunked":
+            content = _read_chunked(rfile)
+        else:
+            content, keep_alive = rfile.read(), False
+    elif length is not None:
+        if not (length.isascii() and length.isdigit() and len(length) < 19):
+            raise http.client.HTTPException("bad Content-Length %r" % length)
+        content = _read_exactly(rfile, int(length))
+    else:
+        content, keep_alive = rfile.read(), False
+    return HttpReply(status, headers, content), keep_alive
+
+
+def _read_fields(rfile) -> http.client.HTTPMessage:
+    """Header (or trailer) fields up to the blank line that ends them."""
+    fields = http.client.HTTPMessage()
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise http.client.HTTPException("malformed header line %r" % line)
+        fields[name.strip()] = value.strip()
+    raise http.client.HTTPException("got more than %d headers" % MAX_HEADERS)
+
+
+def _read_exactly(rfile, n: int) -> bytes:
+    """The next ``n`` bytes, read in pieces so a false length allocates nothing."""
+    chunks = []
+    while n:
+        chunk = rfile.read(min(n, MAX_LINE))
+        if not chunk:
+            raise http.client.IncompleteRead(b"".join(chunks), n)
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _read_chunked(rfile) -> bytes:
+    """Content of a chunked body (RFC 9112 section 7.1); trailers are dropped."""
+    chunks = []
+    while True:
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("chunk size line")
+        size = line.split(b";", 1)[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise http.client.IncompleteRead(b"".join(chunks))
+        size = int(size, 16)
+        if not size:
+            break
+        chunks.append(_read_exactly(rfile, size))
+        _read_exactly(rfile, 2)     # the CRLF after the chunk data
+    _read_fields(rfile)
+    return b"".join(chunks)
 
 
 class StoreSession:

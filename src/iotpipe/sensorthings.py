@@ -9,11 +9,13 @@ reads and writes HTTP around it.
 
 import json
 import re
+import socketserver
 import threading
 import time
 import warnings
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import parse_qsl
 
 
@@ -83,6 +85,15 @@ _PATH_RE = re.compile(r"^([A-Za-z]+)(?:\((\d+)\))?(?:/([A-Za-z]+))?$")
 def format_time(epoch: float) -> str:
     dt = datetime.fromtimestamp(epoch, timezone.utc)
     return dt.isoformat(timespec="milliseconds").replace("+00:00", "Z")
+
+
+def _entity_id(ident: str, missing):
+    """The id a path names. An id with more digits than int() converts names
+    no stored entity, and raises ``missing``."""
+    try:
+        return int(ident)
+    except ValueError:
+        raise missing("no entity has a %d-digit id" % len(ident))
 
 
 def _require_str(body, key):
@@ -297,7 +308,7 @@ class Store:
                 if nav is not None:
                     raise BadPath("navigation needs an entity id")
                 return self._collection(kind, list(self._entities[kind]), params)
-            entity_id = int(ident)
+            entity_id = _entity_id(ident, NotFound)
             if entity_id not in self._entities[kind]:
                 raise NotFound("%s(%s) does not exist" % (kind, ident))
             if nav is None:
@@ -405,7 +416,8 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float,
         kind, ident, nav = match.groups()
         if ident is not None and nav == "Observations" and kind == "Datastreams":
             kind = "Observations"
-            new_id = store.ingest_observation(int(ident), body, receipt_time=now)
+            ds_id = _entity_id(ident, UnknownDatastream)
+            new_id = store.ingest_observation(ds_id, body, receipt_time=now)
         elif ident is not None or nav is not None:
             raise BadPath("can only POST to a collection")
         elif kind == "Observations":
@@ -423,41 +435,130 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float,
         return exc.status, {"error": str(exc)}, None
 
 
-def _make_handler(store: Store, root: str):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
+# -- HTTP -------------------------------------------------------------------
+# The backend speaks the HTTP/1.1 subset its clients use: a request line,
+# header fields of which only four are read, and a Content-Length body. Each
+# reply goes out in one write.
 
-        def log_message(self, fmt, *args):
+MAX_LINE = 65536        # bytes in any one line of a message head (both ends)
+MAX_HEADERS = 100       # header fields in one message head (both ends)
+MAX_BODY = 1 << 20      # bytes in one request body
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+class _Refused(Exception):
+    """A request the handler answers itself with ``status``, then closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Answers the requests of one keep-alive connection through ``respond``."""
+
+    timeout = None              # idle seconds before the connection is dropped
+    disable_nagle_algorithm = True
+    store = root = None         # set per server
+
+    def handle(self):
+        try:
+            while self._serve_one():
+                pass
+        except (TimeoutError, ConnectionError):     # idle timeout, or the peer went away
             pass
 
-        def _handle(self):
-            # Read the body of every method, so none is left in a keep-alive stream.
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                length = -1
-            if length < 0:
-                self.close_connection = True
-                status, obj, location = 400, {
-                    "error": "Content-Length must be a non-negative integer"}, None
-            else:
-                status, obj, location = respond(store, self.command, self.path,
-                                                self.rfile.read(length), time.time(), root)
-            body = json.dumps(obj).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            if location:
-                self.send_header("Location", location)
-            self.end_headers()
-            self.wfile.write(body)
+    def _serve_one(self) -> bool:
+        """Answer one request; False once the connection is to be closed."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        now = time.time()
+        try:
+            method, target, keep_alive, body = self._read_request(line)
+        except _Refused as exc:
+            self._reply(now, exc.status, {"error": str(exc)}, None, keep_alive=False)
+            return False
+        status, obj, location = respond(self.store, method, target, body, now, self.root)
+        self._reply(now, status, obj, location, keep_alive, with_body=method != "HEAD")
+        return keep_alive
 
-        do_GET = do_POST = do_PUT = do_DELETE = _handle
+    def _read_request(self, line: bytes):
+        """(method, target, keep-alive, body) of the request ``line`` begins."""
+        if len(line) > MAX_LINE:
+            raise _Refused(400, "request line over %d bytes" % MAX_LINE)
+        parts = line.split()
+        if len(parts) != 3 or not parts[2].startswith(b"HTTP/"):
+            raise _Refused(400, "malformed request line")
+        method, target, version = parts
+        rfile = self.rfile
+        fields = {}
+        for _ in range(MAX_HEADERS + 1):
+            field = rfile.readline(MAX_LINE + 1)
+            if field in (b"\r\n", b"\n"):
+                break
+            if not field:
+                raise ConnectionAbortedError("peer closed the connection mid-request")
+            if len(field) > MAX_LINE:
+                raise _Refused(431, "header field line over %d bytes" % MAX_LINE)
+            name, colon, value = field.partition(b":")
+            if not colon:
+                raise _Refused(400, "malformed header field line")
+            fields[name.strip().lower()] = value.strip()
+        else:
+            raise _Refused(431, "more than %d header fields" % MAX_HEADERS)
 
-    return Handler
+        tokens = fields.get(b"connection", b"").lower().replace(b" ", b"").split(b",")
+        if version == b"HTTP/1.1":
+            keep_alive = b"close" not in tokens
+        elif version == b"HTTP/1.0":
+            keep_alive = b"keep-alive" in tokens
+        else:
+            raise _Refused(505, "HTTP version not supported")
+        if b"transfer-encoding" in fields:
+            raise _Refused(501, "Transfer-Encoding is not supported")
+        raw = fields.get(b"content-length", b"0")
+        try:
+            length = int(raw) if raw.isdigit() else -1   # bytes.isdigit: ASCII only
+        except ValueError:      # more digits than int() converts
+            length = -1
+        if length < 0:
+            raise _Refused(400, "Content-Length must be a non-negative integer")
+        if length > MAX_BODY:
+            raise _Refused(413, "request body over %d bytes" % MAX_BODY)
+        if fields.get(b"expect", b"").lower() == b"100-continue":
+            self.wfile.write(_CONTINUE)
+        # Read the body of every method, so none is left in a keep-alive stream.
+        body = rfile.read(length) if length else b""
+        if len(body) < length:
+            raise ConnectionAbortedError("peer closed the connection mid-body")
+        return method.decode("latin-1"), target.decode("latin-1"), keep_alive, body
+
+    def _reply(self, now, status, obj, location, keep_alive, with_body=True):
+        body = json.dumps(obj).encode("utf-8")
+        head = ("HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
+                "Content-Length: %d\r\nDate: %s\r\n") % (
+            status, _REASONS.get(status, ""), len(body), self.server.http_date(now))
+        if not keep_alive:
+            head += "Connection: close\r\n"
+        if location:
+            head += "Location: %s\r\n" % location
+        self.wfile.write((head + "\r\n").encode("latin-1") + (body if with_body else b""))
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+    _date = (None, "")      # (epoch second, its IMF-fixdate)
+
+    def http_date(self, now: float) -> str:
+        """The Date field value for ``now`` (RFC 9110 section 6.6.1), formatted
+        at most once per second."""
+        second = int(now)
+        if self._date[0] != second:
+            self._date = (second, formatdate(second, usegmt=True))
+        return self._date[1]
 
 
 class BackendServer:
@@ -469,8 +570,8 @@ class BackendServer:
                  root: str = ROOT):
         self.store = store
         self.root = "/" + root.strip("/")
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(store, self.root))
-        self._httpd.daemon_threads = True
+        handler = type("Handler", (_Handler,), {"store": store, "root": self.root})
+        self._httpd = _Server((host, port), handler)
         self._thread = None
 
     @property

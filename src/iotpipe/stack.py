@@ -119,6 +119,8 @@ class StackEndpoint:
         self._sequence = 0
         self._tag = 0
         self._reassembler = lowpan.Reassembler()
+        self.link_errors = 0      # received frames dropped as malformed 802.15.4
+        self.lowpan_errors = 0    # received frames dropped as malformed 6LoWPAN
 
     @property
     def reassembly_expired(self) -> int:
@@ -157,23 +159,33 @@ class StackEndpoint:
         )
 
     def receive(self, now: float = None) -> list:
-        """Complete datagrams that have arrived, as Datagram records."""
+        """Complete datagrams that have arrived, as Datagram records.
+
+        A malformed frame is dropped and counted in ``link_errors`` or
+        ``lowpan_errors``; the frames after it are still processed.
+        """
         out = []
         tick = now if now is not None else 0.0
         for wire in self.link.receive(now):
-            frame = link154.LinkFrame.parse(wire, include_fcs=self._include_fcs)
-            datagram = self._reassembler.push(bytes(frame.src_addr), frame.payload, now=tick)
-            if datagram is None:
+            try:
+                frame = link154.LinkFrame.parse(wire, include_fcs=self._include_fcs)
+            except link154.LinkError:
+                self.link_errors += 1
                 continue
-            if datagram[0] == lowpan.DISPATCH_IPV6:
-                headers = lowpan.Ipv6UdpHeaders.parse(datagram[1:49])
-                payload = datagram[49:]
-            else:
-                ctx = lowpan.CompressionContext(
-                    link_src=bytes(frame.src_addr),
-                    link_dst=self.config.local_link_addr,
-                )
-                headers, payload = lowpan.parse_datagram(datagram, ctx)
-            out.append(Datagram(headers=headers, payload=payload,
-                                link_src=bytes(frame.src_addr)))
+            link_src = bytes(frame.src_addr)
+            try:
+                datagram = self._reassembler.push(link_src, frame.payload, now=tick)
+                if datagram is None:
+                    continue
+                if datagram[0] == lowpan.DISPATCH_IPV6:
+                    headers = lowpan.Ipv6UdpHeaders.parse(datagram[1:49])
+                    payload = datagram[49:]
+                else:
+                    ctx = lowpan.CompressionContext(link_src=link_src,
+                                                    link_dst=self.config.local_link_addr)
+                    headers, payload = lowpan.parse_datagram(datagram, ctx)
+            except lowpan.LowpanError:
+                self.lowpan_errors += 1
+                continue
+            out.append(Datagram(headers=headers, payload=payload, link_src=link_src))
         return out

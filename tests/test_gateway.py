@@ -1,14 +1,17 @@
 import http.client
 import os
 import socket
+import ssl
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import iotpipe
-from iotpipe import coap, gateway, link154, node, sensorthings, stack
+from iotpipe import coap, gateway, link154, node, sensorthings, sizebench, stack
 from iotpipe.clock import VirtualClock
 
 MAPPING = gateway.ProxyMapping()
@@ -208,19 +211,19 @@ def send_observations(node_ep, gw, count):
 
 
 def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_pair):
-    connects = []
-    real_connect = http.client.HTTPConnection.connect
+    accepted = []   # the connections the backend accepts
+    real_get_request = backend._httpd.get_request
 
-    def counting_connect(conn):
-        connects.append(conn)
-        real_connect(conn)
+    def counting_get_request():
+        accepted.append(real_get_request())
+        return accepted[-1]
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    monkeypatch.setattr(backend._httpd, "get_request", counting_get_request)
     node_ep, gw = build_pair(backend.base_url)
     records = send_observations(node_ep, gw, 50)
     assert all(r.response_code == "2.01" for r in records)
     assert backend.store.count("Observations") == 50
-    assert len(connects) == 1
+    assert len(accepted) == 1
 
 
 def test_session_reply_headers_are_case_insensitive(backend):
@@ -293,6 +296,192 @@ def test_coap_put_is_4_05(backend, build_pair, in_process):
     (reply,) = node_ep.receive(0.0)
     assert coap.decode(reply.payload).code == (4, 5)
     assert gw.metrics.upstream_errors == 0
+
+
+# -- the client against a scripted upstream ----------------------------------
+
+class ScriptedUpstream:
+    """A listener that answers with fixed raw replies.
+
+    ``script`` holds one list of replies per connection it accepts, in order.
+    Each request read on a connection gets that connection's next reply, and
+    the connection is closed after its last one. ``requests`` collects the
+    raw requests, heads and bodies, as received.
+    """
+
+    def __init__(self, script):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5)
+        self.url = "http://127.0.0.1:%d/v1.0" % self.listener.getsockname()[1]
+        self.requests = []
+        self._thread = threading.Thread(target=self._serve, args=(script,), daemon=True)
+        self._thread.start()
+
+    def _serve(self, script):
+        try:
+            for replies in script:
+                conn, _ = self.listener.accept()
+                with conn, conn.makefile("rb") as rfile:
+                    for reply in replies:
+                        head, length = b"", 0
+                        while not head.endswith(b"\r\n\r\n"):
+                            line = rfile.readline()
+                            if not line:
+                                return
+                            if line.lower().startswith(b"content-length:"):
+                                length = int(line.split(b":")[1])
+                            head += line
+                        self.requests.append(head + rfile.read(length))
+                        conn.sendall(reply)
+        except OSError:
+            pass
+
+    def close(self):
+        self._thread.join(10)       # accept() gives up after 5 s
+        self.listener.close()
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def scripted():
+    upstreams = []
+
+    def start(*script):
+        upstreams.append(ScriptedUpstream(script))
+        return upstreams[-1]
+
+    yield start
+    for upstream in upstreams:
+        upstream.close()
+
+
+CREATED = b"HTTP/1.1 201 Created\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+
+
+@pytest.mark.parametrize("reply,content", [
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"4;ext=1\r\nabcd\r\n3\r\nefg\r\n0\r\nX-Trailer: 1\r\n\r\n", b"abcdefg"),
+    (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 102 Processing\r\nX-A: 1\r\n\r\n"
+     b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc", b"abc"),
+], ids=["chunked", "after-1xx"])
+def test_session_reads_a_framed_reply_and_keeps_the_connection(scripted, reply, content):
+    upstream = scripted([reply, CREATED])
+    session = gateway.HttpSession()
+    try:
+        first = session.request("GET", upstream.url + "/Things", timeout=2)
+        second = session.request("POST", upstream.url + "/Things", data=b"{}", timeout=2)
+    finally:
+        session.close()
+    assert (first.status_code, first.content) == (200, content)
+    assert (second.status_code, second.content) == (201, b"{}")
+    assert len(upstream.requests) == 2      # both on the one scripted connection
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{\"a\":1}",
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
+    b"HTTP/1.0 200 OK\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
+], ids=["no-length", "connection-close", "http-1.0"])
+def test_session_reconnects_after_a_reply_that_ends_the_connection(scripted, reply):
+    upstream = scripted([reply], [CREATED])
+    session = gateway.HttpSession()
+    try:
+        first = session.request("GET", upstream.url + "/Things", timeout=2)
+        second = session.request("POST", upstream.url + "/Things", data=b"{}", timeout=2)
+    finally:
+        session.close()
+    assert (first.status_code, first.content) == (200, b'{"a":1}')
+    assert second.status_code == 201
+
+
+@pytest.mark.parametrize("reply,error", [
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", http.client.IncompleteRead),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", http.client.IncompleteRead),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", http.client.IncompleteRead),
+    (b"SMTP ready\r\n", http.client.BadStatusLine),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * sensorthings.MAX_LINE, http.client.LineTooLong),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", http.client.HTTPException),
+    (b"", http.client.RemoteDisconnected),
+], ids=["short-body", "short-chunk", "bad-chunk-size", "not-http", "long-header",
+        "bad-length", "no-reply"])
+def test_malformed_reply_raises_and_the_gateway_answers_5_02(scripted, build_pair,
+                                                               reply, error):
+    upstream = scripted([reply], [reply])
+    session = gateway.HttpSession()
+    try:
+        with pytest.raises(error):
+            session.request("GET", upstream.url + "/Things", timeout=2)
+        assert session._sock is None        # closed after the error
+    finally:
+        session.close()
+    node_ep, gw = build_pair(upstream.url, timeout=2)
+    [record] = send_observations(node_ep, gw, 1)
+    assert record.response_code == "5.02"
+    assert gw.metrics.upstream_errors == 1
+
+
+REPLY_PIECES = [
+    b"HTTP/1.1 200 OK\r\n", b"HTTP/1.0 201 Created\r\n", b"HTTP/1.1 100 Continue\r\n",
+    b"Content-Length: 3\r\n", b"Content-Length: 99999999999999999999\r\n",
+    b"Content-Length: -1\r\n", b"Transfer-Encoding: chunked\r\n", b"Connection: close\r\n",
+    b"\r\n", b"3\r\nabc\r\n", b"0\r\n\r\n", b"fffffff\r\n", b"abc",
+]
+REPLIES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(st.sampled_from(REPLY_PIECES), st.binary(max_size=8)),
+             max_size=12).map(b"".join),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reply=REPLIES)
+def test_any_reply_bytes_return_or_raise_only_transport_errors(reply):
+    upstream = ScriptedUpstream([[reply]])
+    session = gateway.HttpSession()
+    try:
+        answer = session.request("POST", upstream.url + "/Observations", data=PAYLOAD,
+                                 timeout=2)
+        assert 100 <= answer.status_code <= 999
+    except (OSError, http.client.HTTPException):
+        assert session._sock is None
+    finally:
+        session.close()
+        upstream.close()
+
+
+def test_https_urls_go_through_tls():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_in_plain_http():
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(CREATED)
+
+    thread = threading.Thread(target=answer_in_plain_http, daemon=True)
+    thread.start()
+    session = gateway.HttpSession()
+    try:
+        with pytest.raises(ssl.SSLError):   # the handshake meets a plain HTTP reply
+            session.request("GET", "https://127.0.0.1:%d/v1.0" % listener.getsockname()[1],
+                            timeout=2)
+    finally:
+        session.close()
+        thread.join(5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_request_head_is_the_papers_http_header_block(scripted, build_pair):
+    upstream = scripted([CREATED])
+    node_ep, gw = build_pair(upstream.url)
+    [record] = send_observations(node_ep, gw, 1)
+    assert record.response_code == "2.01"
+    [sent] = upstream.requests
+    head, body = sent[:-len(PAYLOAD)], sent[-len(PAYLOAD):]
+    expected = sizebench.http_header_block(
+        len(PAYLOAD), "/v1.0/Observations", upstream.url.split("/")[2])
+    assert body == PAYLOAD
+    assert head == expected.replace(b"Connection: close\r\n", b"")
 
 
 # -- the in-process session --------------------------------------------------

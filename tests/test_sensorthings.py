@@ -1,5 +1,8 @@
+import email.utils
 import http.client
 import json
+import socket
+import struct
 import time
 
 import pytest
@@ -286,6 +289,14 @@ def test_other_methods_are_405_with_a_json_error(backend, method):
     assert json.loads(body) == {"error": "method %s not allowed" % method}
 
 
+def test_head_is_answered_without_a_body(backend):
+    replies = _on_one_connection(backend, [
+        ("HEAD", backend.root + "/Things(1)", None),
+        ("GET", backend.root + "/Things(1)", None),
+    ])
+    assert [(status, body == b"") for status, _, body in replies] == [(405, True), (200, False)]
+
+
 def test_http_observation_body_must_be_an_object(backend):
     response = requests.post(backend.base_url + "/Observations", json=[1])
     assert response.status_code == 400
@@ -338,3 +349,154 @@ def test_stop_returns_promptly(seeded_store):
     started = time.monotonic()
     server.stop()
     assert time.monotonic() - started < 0.2
+
+
+# -- entity ids too long for int() ------------------------------------------
+
+LONG_ID = "9" * 5000   # more digits than int() converts
+
+
+def test_overlong_entity_ids_are_404(seeded_store):
+    things = sensorthings.respond(seeded_store, "GET", "/v1.0/Things(%s)" % LONG_ID, b"", 0.0)
+    post = sensorthings.respond(seeded_store, "POST",
+                                "/v1.0/Datastreams(%s)/Observations" % LONG_ID,
+                                b'{"result":1}', 0.0)
+    assert (things[0], post[0]) == (404, 404)
+    assert seeded_store.count("Observations") == 0
+
+
+def test_overlong_entity_id_keeps_the_connection_serving(backend):
+    replies = _on_one_connection(backend, [
+        ("POST", "%s/Datastreams(%s)/Observations" % (backend.root, LONG_ID), b'{"result":1}'),
+        ("GET", "%s/Things(%s)" % (backend.root, LONG_ID), None),
+        ("GET", backend.root + "/Things(1)", None),
+    ])
+    assert [status for status, _, _ in replies] == [404, 404, 200]
+
+
+# -- the HTTP subset, over raw sockets --------------------------------------
+
+def _raw(backend, *sends):
+    """Every byte the backend sends on one connection, up to its close, after
+    each of ``sends`` is sent in one piece."""
+    with socket.create_connection(("127.0.0.1", backend.port), timeout=2) as sock:
+        for data in sends:
+            sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _replies(raw):
+    """(status, header fields, body) of each reply in ``raw``."""
+    out = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in lines)
+        length = int(fields["Content-Length"])
+        out.append((int(status_line.split()[1]), fields, raw[:length]))
+        raw = raw[length:]
+    return out
+
+
+def test_http_1_0_closes_unless_asked_to_keep_alive(backend):
+    replies = _replies(_raw(backend, b"GET /v1.0/Things(1) HTTP/1.0\r\n"
+                                     b"Connection: keep-alive\r\n\r\n"
+                                     b"GET /v1.0/Sensors(1) HTTP/1.0\r\n\r\n"))
+    assert [status for status, _, _ in replies] == [200, 200]
+    (_, kept, _), (_, closed, _) = replies
+    assert "Connection" not in kept and closed["Connection"] == "close"
+    sent = email.utils.parsedate_to_datetime(closed["Date"]).timestamp()
+    assert abs(sent - time.time()) < 60
+
+
+def test_connection_close_is_answered_then_closed(backend):
+    [(status, fields, body)] = _replies(_raw(
+        backend, b"GET /v1.0/Things(1) HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"))
+    assert (status, fields["Connection"]) == (200, "close")
+    assert json.loads(body)["name"] == "RIOT Alpha"
+
+
+def test_pipelined_requests_are_answered_in_order(backend):
+    post = (b"POST /v1.0/Observations HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 12\r\n\r\n{\"result\":7}")
+    get = b"GET /v1.0/Observations(1) HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    replies = _replies(_raw(backend, post + get))
+    assert [status for status, _, _ in replies] == [201, 200]
+    assert replies[0][1]["Location"] == "/v1.0/Observations(1)"
+    assert json.loads(replies[1][2])["result"] == 7
+
+
+def test_transfer_encoding_is_501_and_closes(backend):
+    raw = _raw(backend, b"POST /v1.0/Observations HTTP/1.1\r\nHost: x\r\n"
+                        b"Transfer-Encoding: chunked\r\n\r\n")
+    [(status, fields, _)] = _replies(raw)
+    assert (status, fields["Connection"]) == (501, "close")
+    assert backend.store.count("Observations") == 0
+
+
+# Each request ends where the server stops reading it: bytes left unread when
+# the server closes would make it send a reset, which can discard the reply.
+LIMIT = sensorthings.MAX_LINE + 1
+HEAD = b"GET /v1.0 HTTP/1.1\r\n"
+
+
+@pytest.mark.parametrize("request_bytes,status", [
+    (b"G" * LIMIT, 400),
+    (HEAD + b"X-Long: " + b"x" * (LIMIT - 8), 431),
+    (HEAD + b"X-Many: 1\r\n" * (sensorthings.MAX_HEADERS + 1), 431),
+    (b"\x00\x01 garbage\r\n", 400),
+    (b"GET /v1.0\r\n", 400),
+    (HEAD + b"no colon here\r\n", 400),
+    (b"GET /v1.0 HTTP/2.0\r\n\r\n", 505),
+    (b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413),
+], ids=["long-request-line", "long-header-line", "101-headers", "garbage", "no-version",
+        "header-without-colon", "http-2", "body-over-1-MiB"])
+def test_malformed_requests_are_refused_and_closed(backend, request_bytes, status):
+    [(got, fields, body)] = _replies(_raw(backend, request_bytes))
+    assert (got, fields["Connection"]) == (status, "close")
+    assert "error" in json.loads(body)
+
+
+def test_exactly_100_headers_are_read(backend):
+    raw = _raw(backend, b"GET /v1.0/Things(1) HTTP/1.1\r\n"
+                        + b"X-Many: 1\r\n" * (sensorthings.MAX_HEADERS - 1)
+                        + b"Connection: close\r\n\r\n")
+    assert [status for status, _, _ in _replies(raw)] == [200]
+
+
+def test_expect_100_continue_gets_an_interim_reply(backend):
+    with socket.create_connection(("127.0.0.1", backend.port), timeout=2) as sock:
+        sock.sendall(b"POST /v1.0/Observations HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                     b"Expect: 100-continue\r\nContent-Length: 12\r\n\r\n")
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        got = b""
+        while len(got) < len(interim):
+            got += sock.recv(len(interim) - len(got))
+        assert got == interim
+        sock.sendall(b'{"result":7}')
+        rest = sock.makefile("rb").read()
+    assert [status for status, _, _ in _replies(rest)] == [201]
+    assert backend.store.count("Observations") == 1
+
+
+def test_idle_timeout_and_peer_reset_end_connections_quietly(seeded_store, capfd):
+    server = sensorthings.BackendServer(seeded_store)
+    server._httpd.RequestHandlerClass.timeout = 0.1
+    server.start()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=2) as idle:
+            assert idle.recv(1) == b""      # the server dropped the idle connection
+        reset = socket.create_connection(("127.0.0.1", server.port), timeout=2)
+        reset.sendall(b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length: 12\r\n\r\n")
+        reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        reset.close()                       # an RST in the middle of the body
+        time.sleep(0.2)
+        assert _request(server, "GET", "/Things(1)")[0] == 200
+    finally:
+        server.stop()
+    assert "Traceback" not in capfd.readouterr().err

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotpipe import gateway, link154, lowpan, node, stack
 from iotpipe.clock import VirtualClock
@@ -72,3 +73,43 @@ def test_extended_profile_exchange_carries_fcs_and_source_pan(backend, reading, 
         assert not int.from_bytes(wire[:2], "little") & (1 << 6)  # intra-PAN bit clear
         assert link154.LinkFrame.parse(wire, include_fcs=True).src_pan == link154.PAN_ID
         assert int.from_bytes(wire[-2:], "little") == link154.crc16_kermit(wire[:-2])
+
+
+def _raw_then_valid(profile, frames, payload=b"reading"):
+    """The gateway side's receive() after ``frames`` are queued raw on the link,
+    followed by one valid datagram carrying ``payload``."""
+    link = link154.SimulatedLink()
+    node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config(profile=profile))
+    gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config(profile=profile))
+    for wire in frames:
+        link.endpoints[0].send(wire)
+    node_ep.send(payload)
+    return gw_ep, gw_ep.receive()
+
+
+@pytest.mark.parametrize("wire,errors", [
+    (b"\x01\x02\x03", (1, 0)),
+    (stack.link_frame(stack.node_stack_config(), b"\x00").serialize(), (0, 1)),
+], ids=["short-frame", "bad-dispatch"])
+def test_malformed_frame_does_not_lose_the_frames_after_it(wire, errors):
+    gw_ep, received = _raw_then_valid("calibrated", [wire])
+    assert [d.payload for d in received] == [b"reading"]
+    assert (gw_ep.link_errors, gw_ep.lowpan_errors) == errors
+    assert gw_ep.receive() == []
+
+
+FRAMES = st.lists(st.one_of(
+    st.binary(max_size=link154.MAX_FRAME),             # raw frame bytes
+    st.binary(max_size=100).map(lambda p: (p,)),       # a valid frame around raw bytes
+), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=st.sampled_from(PROFILES), frames=FRAMES)
+def test_any_frame_bytes_are_dropped_or_delivered_never_raised(profile, frames):
+    cfg = stack.node_stack_config(profile=profile)
+    wires = [stack.link_frame(cfg, f[0]).serialize() if isinstance(f, tuple) else f
+             for f in frames]
+    gw_ep, received = _raw_then_valid(profile, wires)
+    assert received and received[-1].payload == b"reading"
+    assert len(received) - 1 + gw_ep.link_errors + gw_ep.lowpan_errors <= len(frames)
