@@ -15,7 +15,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from . import coap, sensorthings
+from . import coap, lowpan, sensorthings
 from .sensorthings import MAX_HEADERS, MAX_LINE
 from .stack import StackEndpoint
 
@@ -28,8 +28,8 @@ class UnsupportedMethod(GatewayError):
     pass
 
 
-class MissingPath(GatewayError):
-    pass
+class BadRequest(GatewayError):
+    """A request the gateway cannot map: no Uri-Path, or one that is not UTF-8."""
 
 
 # CoAP request code -> HTTP method. Any other request code answers 4.05.
@@ -95,9 +95,12 @@ def translate_request(msg: coap.CoapMessage, mapping: ProxyMapping,
     method = METHODS.get(msg.code)
     if method is None:
         raise UnsupportedMethod("no HTTP mapping for CoAP %s" % msg.code_str())
-    segments = msg.uri_path()
+    try:
+        segments = msg.uri_path()
+    except UnicodeDecodeError:
+        raise BadRequest("Uri-Path is not UTF-8") from None
     if not segments:
-        raise MissingPath("request carries no Uri-Path")
+        raise BadRequest("request carries no Uri-Path")
     url = upstream.base_url.rstrip("/") + "/" + "/".join(segments)
     headers = {}
     if msg.payload:
@@ -353,7 +356,8 @@ class GatewayMetrics:
     responses_sent: int = 0
     upstream_errors: int = 0
     dedup_hits: int = 0
-    decode_errors: int = 0
+    decode_errors: int = 0       # datagrams that are not CoAP, and requests answered 4.00
+    oversize_replies: int = 0    # replies dropped as too large for one 6LoWPAN datagram
 
 
 class Gateway:
@@ -385,7 +389,8 @@ class Gateway:
             http_req = translate_request(request, self.mapping, self.upstream)
         except UnsupportedMethod:
             return _reply_to(request, (4, 5))
-        except MissingPath:
+        except BadRequest:
+            self.metrics.decode_errors += 1
             return _reply_to(request, (4, 0))
         self.metrics.requests_forwarded += 1
         try:
@@ -402,6 +407,17 @@ class Gateway:
             self._log_event({"event": "upstream_error", "t": now, "error": str(exc)})
             return _reply_to(request, (5, 2))
         return translate_response(http_resp, request, self.mapping)
+
+    def _send_reply(self, encoded: bytes, now: float):
+        """Send one encoded reply. One too large for a 6LoWPAN datagram is
+        dropped and counted; its exchange stays in the dedup cache, so a
+        retransmitted request is answered from there and not stored twice."""
+        try:
+            self.endpoint.send(encoded, now=now)
+        except lowpan.DatagramTooLarge:
+            self.metrics.oversize_replies += 1
+        else:
+            self.metrics.responses_sent += 1
 
     def process_pending(self, now: float = 0.0) -> int:
         """Drain the link side; one CoAP exchange per completed datagram."""
@@ -421,8 +437,7 @@ class Gateway:
                     "event": "dedup", "t": now, "mid": request.message_id,
                     "token": request.token.hex(),
                 })
-                self.endpoint.send(cached, now=now)
-                self.metrics.responses_sent += 1
+                self._send_reply(cached, now)
                 handled += 1
                 continue
             reply = self._handle(request, now)
@@ -430,8 +445,7 @@ class Gateway:
             self._recent[key] = encoded
             while len(self._recent) > self.DEDUP_CAPACITY:
                 self._recent.popitem(last=False)
-            self.endpoint.send(encoded, now=now)
-            self.metrics.responses_sent += 1
+            self._send_reply(encoded, now)
             self._log_event({
                 "event": "exchange", "t": now,
                 "mid": request.message_id, "token": request.token.hex(),

@@ -1,5 +1,6 @@
 """IEEE 802.15.4 frame model and an in-process simulated one-hop link."""
 
+import binascii
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -20,26 +21,16 @@ class FrameTooLarge(LinkError):
     pass
 
 
-def _crc_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0x8408 if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC_TABLE = _crc_table()
+# Bit-reversal of every byte value. CRC-16/KERMIT is the reflected form of
+# CRC-16/XMODEM (poly 0x1021, init 0, no final XOR), which ``binascii.crc_hqx``
+# computes in C: reflect the input bytes, run XMODEM, reflect the 16-bit result.
+_REVERSED = bytes(int("{:08b}".format(byte)[::-1], 2) for byte in range(256))
 
 
 def crc16_kermit(data: bytes) -> int:
     """CRC-16 as used for the 802.15.4 FCS (reflected, poly 0x1021)."""
-    crc = 0
-    table = _CRC_TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc
+    crc = binascii.crc_hqx(data.translate(_REVERSED), 0)
+    return _REVERSED[crc & 0xFF] << 8 | _REVERSED[crc >> 8]
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,12 @@ class LinkEndpoint:
         peer._rx.append((now + cfg.latency, frame_bytes))
         self._link.delivered += 1
         return DeliveryOutcome(delivered=True, size=len(frame_bytes))
+
+    def next_due(self):
+        """Earliest delivery time of a frame in flight on this link, either
+        way, or None. Each queue is in due order, so its head is its earliest."""
+        heads = [ep._rx[0][0] for ep in self._link.endpoints if ep._rx]
+        return min(heads) if heads else None
 
     def receive(self, now: float = None) -> list:
         """Frames whose delivery time has arrived, in send order."""

@@ -115,13 +115,18 @@ class Node:
         return None
 
     def _await_response(self, request, deadline, pump):
+        """Poll now, then again at each moment something can happen: when the
+        next frame on this node's link is due, or at the deadline."""
         while True:
             response = self._poll_once(request, pump)
             if response is not None:
                 return response
-            if self.clock.now() >= deadline:
+            now = self.clock.now()
+            if now >= deadline:
                 return None
-            self.clock.sleep(min(0.05, deadline - self.clock.now()))
+            due = self.endpoint.link.next_due()
+            wake = deadline if due is None or due <= now else min(deadline, due)
+            self.clock.sleep(wake - now)
 
     def send_observation(self, pump=None) -> SendRecord:
         """Send one observation now; blocks (in clock time) for CON exchanges."""

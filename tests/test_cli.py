@@ -62,6 +62,7 @@ def test_same_seed_runs_write_identical_artifacts(tmp_path):
         ))
         runs.append([(tmp_path / run / name).read_bytes() for name in names])
     assert runs[0] == runs[1]
+    assert b'"attempts":2' in runs[0][0]      # the loss made a node wait and resend
 
 
 def test_serve_and_replay_run_until_interrupted(capsys, monkeypatch, tmp_path):

@@ -56,7 +56,7 @@ def test_translate_unmapped_method():
 
 def test_translate_missing_path():
     msg = coap.CoapMessage(coap.MsgType.CON, (0, 1), 1, token=b"\x01")
-    with pytest.raises(gateway.MissingPath):
+    with pytest.raises(gateway.BadRequest):
         gateway.translate_request(msg, MAPPING, UPSTREAM)
 
 
@@ -296,6 +296,52 @@ def test_coap_put_is_4_05(backend, build_pair, in_process):
     (reply,) = node_ep.receive(0.0)
     assert coap.decode(reply.payload).code == (4, 5)
     assert gw.metrics.upstream_errors == 0
+
+
+@pytest.mark.parametrize("options", [[(coap.OPT_URI_PATH, b"\xff")], []],
+                         ids=["non-utf8-path", "no-path"])
+def test_bad_uri_path_is_4_00_and_counted(seeded_store, build_pair, options):
+    session = gateway.StoreSession(seeded_store, VirtualClock())
+    node_ep, gw = build_pair("http://sim/v1.0", session=session)
+    get = coap.CoapMessage(coap.MsgType.NON, coap.METHOD_GET, 8, token=b"\x08",
+                           options=options)
+    node_ep.send(coap.encode(get), now=0.0)
+    assert gw.process_pending(0.0) == 1
+    (reply,) = node_ep.receive(0.0)
+    assert coap.decode(reply.payload).code == (4, 0)
+    assert gw.metrics.decode_errors == 1
+    assert gw.metrics.requests_forwarded == 0
+
+
+# A 240-value result is a request of about 1.2 kB; the full 2.01 echo of the
+# stored entity is longer than one 6LoWPAN datagram may be.
+OVERSIZE_RESULT = [1000 + i for i in range(240)]
+
+
+def oversize_exchange(store, build_pair, confirmable):
+    clock = VirtualClock()
+    node_ep, gw = build_pair("http://sim/v1.0", session=gateway.StoreSession(store, clock))
+    config = node.NodeConfig(reliability=node.Reliability(confirmable=confirmable),
+                             temperature=node.FixedTemperature(OVERSIZE_RESULT))
+    record = node.Node(config, node_ep, clock).send_observation(pump=gw.process_pending)
+    return record, gw
+
+
+def test_oversize_reply_to_a_non_request_is_a_counted_drop(seeded_store, build_pair):
+    record, gw = oversize_exchange(seeded_store, build_pair, confirmable=False)
+    assert record.outcome == "sent"
+    assert seeded_store.count("Observations") == 1
+    assert gw.metrics.oversize_replies == 1
+    assert gw.metrics.responses_sent == 0
+
+
+def test_oversize_reply_to_con_retransmissions_stores_once(seeded_store, build_pair):
+    record, gw = oversize_exchange(seeded_store, build_pair, confirmable=True)
+    assert record.outcome == "failed" and record.attempts == 5
+    assert seeded_store.count("Observations") == 1
+    assert gw.metrics.dedup_hits == record.attempts - 1
+    assert gw.metrics.oversize_replies >= 2
+    assert gw.metrics.responses_sent == 0
 
 
 # -- the client against a scripted upstream ----------------------------------

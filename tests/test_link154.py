@@ -122,3 +122,16 @@ def test_latency_holds_frames_until_due():
     link.endpoints[0].send(b"\x01", now=0.0)
     assert link.endpoints[1].receive(now=0.2) == []
     assert link.endpoints[1].receive(now=0.5) == [b"\x01"]
+
+
+def test_next_due_is_the_earliest_frame_in_flight_either_way():
+    link = link154.SimulatedLink(link154.LinkConfig(latency=0.5))
+    node_side, gateway_side = link.endpoints
+    assert node_side.next_due() is None
+    node_side.send(b"\x01", now=1.0)
+    gateway_side.send(b"\x02", now=0.75)
+    assert node_side.next_due() == gateway_side.next_due() == 1.25
+    node_side.receive(now=1.25)
+    assert gateway_side.next_due() == 1.5
+    gateway_side.receive(now=1.5)
+    assert node_side.next_due() is None

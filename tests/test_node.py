@@ -1,4 +1,6 @@
-from iotpipe import link154, node, stack
+import pytest
+
+from iotpipe import gateway, link154, node, sensorthings, stack
 from iotpipe.clock import VirtualClock
 
 
@@ -75,3 +77,73 @@ def test_send_record_json_round_trips():
     loaded = json.loads(records[0].to_json())
     assert loaded["result"] == 2143
     assert bytes.fromhex(loaded["payload_hex"]) == b'{"result":2143}'
+
+
+# -- the confirmable wait ------------------------------------------------------
+
+CON = node.NodeConfig(reliability=node.Reliability(confirmable=True))
+
+
+def con_exchange_rig(link_config):
+    """A CON node and a gateway on one link, the gateway answering from an
+    in-process store on the node's clock. Returns the node, the gateway, the
+    store, the pump to pass the node and the list of times it was called."""
+    clock = VirtualClock(100.0)
+    link = link154.SimulatedLink(link_config)
+    store = sensorthings.Store()
+    sensorthings.seed_default_entities(store)
+    gw = gateway.Gateway(
+        stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
+        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
+        mapping=gateway.ProxyMapping(strip_success_bodies=True),
+        session=gateway.StoreSession(store, clock),
+    )
+    sensor = node.Node(CON, stack.StackEndpoint(link.endpoints[0], stack.node_stack_config()),
+                       clock)
+    pumps = []
+
+    def pump(now):
+        pumps.append(now)
+        gw.process_pending(now)
+
+    return sensor, gw, store, pump, pumps
+
+
+def test_con_wait_pumps_at_most_twice_per_attempt():
+    # One poll after each send and one at its deadline.
+    sensor, _gw, _store, pump, pumps = con_exchange_rig(
+        link154.LinkConfig(loss_probability=0.3, seed=4))
+    for _ in range(200):
+        sensor.clock.sleep(10.0)
+        before = len(pumps)
+        record = sensor.send_observation(pump=pump)
+        assert len(pumps) - before <= 2 * record.attempts
+    assert sum(r.attempts > 1 for r in sensor.records) > 10
+    assert sum(r.outcome == "acked" for r in sensor.records) > 150
+
+
+def test_con_wait_wakes_for_each_frame_in_flight():
+    sensor, _gw, store, pump, pumps = con_exchange_rig(link154.LinkConfig(latency=0.3))
+    t0 = sensor.clock.now()
+    record = sensor.send_observation(pump=pump)
+    assert record.outcome == "acked" and record.attempts == 1
+    assert record.time == pytest.approx(t0 + 0.6)
+    assert pumps == pytest.approx([t0, t0 + 0.3, t0 + 0.6])
+    assert store.count("Observations") == 1
+
+
+def test_reply_slower_than_the_ack_timeout_acks_the_retransmitted_exchange():
+    # A 3-s round trip: the retransmission at t0 + 2 s is still in flight
+    # when the reply to the first send arrives at t0 + 3 s.
+    sensor, gw, store, pump, _pumps = con_exchange_rig(link154.LinkConfig(latency=1.5))
+    t0 = sensor.clock.now()
+    first = sensor.send_observation(pump=pump)
+    assert first.outcome == "acked" and first.attempts == 2
+    assert first.time == pytest.approx(t0 + 3.0)
+    assert sensor.endpoint.link.next_due() == pytest.approx(t0 + 3.5)
+
+    sensor.clock.sleep(10.0)
+    second = sensor.send_observation(pump=pump)
+    assert second.outcome == "acked"
+    assert gw.metrics.dedup_hits == 1
+    assert store.count("Observations") == 2
