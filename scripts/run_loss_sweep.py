@@ -29,7 +29,6 @@ def main():
                 loss_probability=loss,
                 seed=args.seed,
                 confirmable=confirmable,
-                compact_acks=confirmable and loss > 0,
             ))
             row.append("%d/%d" % (result.stored, result.sent))
         print("%-8.2f %12s %12s" % (loss, row[0], row[1]))

@@ -60,7 +60,6 @@ def cmd_pipeline(args) -> int:
             confirmable=file_cfg.get("mode", args.mode).upper() == "CON",
             max_retransmit=int(file_cfg.get("max_retransmit", args.max_retransmit)),
             compress=bool(file_cfg.get("compress", not args.no_compress)),
-            compact_acks=bool(file_cfg.get("compact_acks", args.compact_acks)),
             backend_url=file_cfg.get("backend_url", args.backend_url),
             artifacts_dir=args.artifacts,
         )
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retransmit", type=int, default=4)
     p.add_argument("--no-compress", action="store_true",
                    help="send uncompressed IPv6/UDP over the link")
-    p.add_argument("--compact-acks", action="store_true",
-                   help="strip success bodies to single-frame replies")
     p.add_argument("--backend-url", help="attach to an external backend")
     p.add_argument("--artifacts", help="directory for logs and summary")
     p.set_defaults(func=cmd_pipeline)

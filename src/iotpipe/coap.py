@@ -40,6 +40,7 @@ class MsgType(IntEnum):
 
 
 # Option numbers (IANA registry)
+OPT_LOCATION_PATH = 8
 OPT_URI_PATH = 11
 OPT_CONTENT_FORMAT = 12
 

@@ -2,7 +2,9 @@
 
 Terminates the 6LoWPAN side, maps CoAP requests onto HTTP requests against
 the backend, maps the responses back, and crosses from IPv6 (link side) to
-IPv4 (upstream side). Payloads pass through byte-identical.
+IPv4 (upstream side). Request payloads and reply bodies pass through
+byte-identical, except that a 2.01 to a POST names the created resource in
+Location-Path options instead of carrying it.
 """
 
 import functools
@@ -13,7 +15,7 @@ import select
 import socket
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import unquote_to_bytes, urlsplit
 
 from . import coap, lowpan, sensorthings
 from .sensorthings import MAX_HEADERS, MAX_LINE
@@ -63,10 +65,9 @@ CONTENT_FORMAT_IDS = {label: cf for cf, label in coap.CONTENT_FORMATS.items()}
 
 @dataclass
 class ProxyMapping:
-    # Optional: shrink creation acknowledgements to a bare success code so
-    # the reply fits one 802.15.4 frame (fewer frames to lose on a lossy
-    # link); the stored entity stays queryable upstream. Off by default to
-    # keep the proxy transparent.
+    # Inert: nothing reads it, as every 2.01 is bodiless. Kept only because
+    # perfbench/workloads.py still builds one; delete it, and Gateway's
+    # ``mapping`` parameter, with that caller (ROADMAP item 1).
     strip_success_bodies: bool = False
 
 
@@ -88,8 +89,7 @@ class HttpRequestModel:
 HttpReply = namedtuple("HttpReply", "status_code headers content")
 
 
-def translate_request(msg: coap.CoapMessage, mapping: ProxyMapping,
-                      upstream: UpstreamConfig) -> HttpRequestModel:
+def translate_request(msg: coap.CoapMessage, upstream: UpstreamConfig) -> HttpRequestModel:
     if not msg.is_request():
         raise UnsupportedMethod("not a request: code %s" % msg.code_str())
     method = METHODS.get(msg.code)
@@ -110,19 +110,50 @@ def translate_request(msg: coap.CoapMessage, mapping: ProxyMapping,
 
 
 def translate_response(resp: HttpReply, request: coap.CoapMessage,
-                       mapping: ProxyMapping) -> coap.CoapMessage:
-    """CoAP reply to ``request`` from what a session's ``request`` returned."""
+                       upstream: UpstreamConfig) -> coap.CoapMessage:
+    """CoAP reply to ``request`` from what a session's ``request`` returned.
+
+    A 201 to a POST becomes a 2.01 with no body that names the created
+    resource in Location-Path options (RFC 7252 section 5.8.2), so it fits
+    one frame. Every other reply carries the HTTP body and its Content-Format.
+    """
     code = STATUS_CODES.get(resp.status_code, FALLBACK_CODE)
+    if resp.status_code == 201 and request.code == coap.METHOD_POST:
+        return _reply_to(request, code,
+                         _location_path(resp.headers.get("Location"), upstream.base_url))
     options = []
     body = resp.content or b""
-    if mapping.strip_success_bodies and code[0] == 2 and request.code == coap.METHOD_POST:
-        body = b""
     if body:
         media_type = (resp.headers.get("Content-Type") or "").split(";")[0].strip()
         cf = CONTENT_FORMAT_IDS.get(media_type)
         if cf is not None:
             options.append((coap.OPT_CONTENT_FORMAT, bytes([cf])))
     return _reply_to(request, code, options, body)
+
+
+def _location_path(location, base_url: str) -> list:
+    """Location-Path options naming an HTTP ``Location`` (a path or an
+    absolute URL) relative to the upstream base; none when ``location`` is
+    missing, has a query or fragment, or does not lie under the base."""
+    if not location or "?" in location or "#" in location:
+        return []
+    scheme, netloc, prefix = _base(base_url)
+    if not location.startswith("/"):
+        parts = urlsplit(location)
+        if (parts.scheme, parts.netloc.lower()) != (scheme, netloc):
+            return []
+        location = parts.path
+    if not location.startswith(prefix) or location == prefix:
+        return []
+    return [(coap.OPT_LOCATION_PATH, unquote_to_bytes(segment))
+            for segment in location[len(prefix):].split("/")]
+
+
+@functools.lru_cache(maxsize=64)
+def _base(base_url: str):
+    """(scheme, host and port, path prefix with a trailing slash) of a base URL."""
+    parts = urlsplit(base_url)
+    return parts.scheme, parts.netloc.lower(), parts.path.rstrip("/") + "/"
 
 
 def _reply_to(request: coap.CoapMessage, code: tuple, options=(), payload=b""):
@@ -372,9 +403,9 @@ class Gateway:
     def __init__(self, endpoint: StackEndpoint, upstream: UpstreamConfig,
                  mapping: ProxyMapping = None, session=None,
                  metrics_log=None):
+        # ``mapping`` is accepted and ignored, like ProxyMapping itself.
         self.endpoint = endpoint
         self.upstream = upstream
-        self.mapping = mapping or ProxyMapping()
         self.session = session or HttpSession()
         self.metrics = GatewayMetrics()
         self.metrics_log = metrics_log  # writable file-like, JSON lines
@@ -386,7 +417,7 @@ class Gateway:
 
     def _handle(self, request: coap.CoapMessage, now: float) -> coap.CoapMessage:
         try:
-            http_req = translate_request(request, self.mapping, self.upstream)
+            http_req = translate_request(request, self.upstream)
         except UnsupportedMethod:
             return _reply_to(request, (4, 5))
         except BadRequest:
@@ -406,7 +437,7 @@ class Gateway:
             self.metrics.upstream_errors += 1
             self._log_event({"event": "upstream_error", "t": now, "error": str(exc)})
             return _reply_to(request, (5, 2))
-        return translate_response(http_resp, request, self.mapping)
+        return translate_response(http_resp, request, self.upstream)
 
     def _send_reply(self, encoded: bytes, now: float):
         """Send one encoded reply. One too large for a 6LoWPAN datagram is

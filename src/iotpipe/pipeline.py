@@ -24,7 +24,6 @@ class PipelineConfig:
     confirmable: bool = False
     max_retransmit: int = 4
     compress: bool = True
-    compact_acks: bool = False     # strip 2.xx bodies to single-frame replies
     backend_url: str = None        # attach instead of embedding when set
     artifacts_dir: str = None
     journal_path: str = None
@@ -89,7 +88,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             gateways.append(gw.Gateway(
                 gw_ep,
                 gw.UpstreamConfig(base_url=base_url),
-                mapping=gw.ProxyMapping(strip_success_bodies=config.compact_acks),
                 metrics_log=metrics_log,
             ))
             cfg = nodemod.NodeConfig(
@@ -157,12 +155,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     return result
 
 
+# Drop counters of each gateway's link-side endpoint, reported beside its metrics.
+ENDPOINT_COUNTERS = ("link_errors", "lowpan_errors", "reassembly_expired")
+
+
 def _merge_metrics(gateways) -> dict:
-    """Gateway counters summed over all gateways."""
-    merged = vars(gw.GatewayMetrics())
+    """Gateway counters and their endpoints' drop counters, summed over all gateways."""
+    merged = dict.fromkeys([*vars(gw.GatewayMetrics()), *ENDPOINT_COUNTERS], 0)
     for one in gateways:
         for key, value in vars(one.metrics).items():
             merged[key] += value
+        for key in ENDPOINT_COUNTERS:
+            merged[key] += getattr(one.endpoint, key)
     return merged
 
 

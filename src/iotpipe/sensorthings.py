@@ -126,6 +126,7 @@ class Store:
         self._lock = threading.RLock()
         self._journal_file = None
         self.journal_path = journal_path
+        self.torn_bytes = 0   # bytes ``recover`` cut from a torn journal tail
         if journal_path is not None:
             self._journal_file = open(journal_path, "a", encoding="utf-8")
 
@@ -345,30 +346,43 @@ class Store:
     def recover(cls, journal_path):
         """Rebuild a store by replaying the journal, then reopen it for append.
 
-        A truncated or unparsable final line is dropped with a warning;
-        corruption before the final line raises CorruptJournal.
+        A record is complete once its newline is written. A torn tail (bytes
+        after the last newline) and an unparsable final record are dropped
+        with a warning, and the file is cut back to the end of the last record
+        replayed, so the next record starts on a line of its own;
+        ``torn_bytes`` counts what was cut. Corruption before the final record
+        raises CorruptJournal.
         """
         try:
-            with open(journal_path, "r", encoding="utf-8") as handle:
-                lines = handle.read().split("\n")
+            with open(journal_path, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
-            lines = []
-        if lines and lines[-1] == "":
-            lines.pop()
+            raw = b""
+        size, keep = len(raw), raw.rfind(b"\n") + 1   # keep: end of the last complete record
+        try:
+            text = raw[:keep].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptJournal("journal is not UTF-8: %s" % exc) from None
+        del raw                         # the replay holds one copy of the journal
+        lines = text.split("\n")
+        del text
+        lines.pop()                     # the empty string after the last newline
         store = cls(journal_path=None)
         for i, line in enumerate(lines):
             try:
                 record = json.loads(line)
                 store._apply(record)
             except (ValueError, KeyError, StError) as exc:
-                if i == len(lines) - 1:
-                    warnings.warn(
-                        "dropping truncated journal tail line %d: %s" % (i + 1, exc)
-                    )
-                    break
-                raise CorruptJournal("journal line %d unreadable: %s" % (i + 1, exc))
+                if i < len(lines) - 1:
+                    raise CorruptJournal("journal line %d unreadable: %s" % (i + 1, exc))
+                warnings.warn("dropping unreadable final journal line %d: %s" % (i + 1, exc))
+                keep -= len(line.encode("utf-8")) + 1
         store.journal_path = journal_path
         store._journal_file = open(journal_path, "a", encoding="utf-8")
+        store.torn_bytes = size - keep
+        if store.torn_bytes:
+            warnings.warn("cut %d bytes of torn journal tail" % store.torn_bytes)
+            store._journal_file.truncate(keep)
         return store
 
     def _apply(self, record: dict):

@@ -218,7 +218,7 @@ def test_criterion_6_fault_behavior(capsys):
     # lossy CON run: stored count equals the acknowledged-send count exactly
     lossy = run_pipeline(PipelineConfig(
         nodes=1, observations_per_node=50, loss_probability=0.3,
-        confirmable=True, max_retransmit=4, seed=18, compact_acks=True,
+        confirmable=True, max_retransmit=4, seed=18,
     ))
     acked = sum(
         1 for r in lossy.records_per_node[0]

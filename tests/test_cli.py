@@ -1,7 +1,7 @@
 import json
 import types
 
-from iotpipe import cli, sensorthings
+from iotpipe import cli, node, sensorthings
 from iotpipe.pipeline import PipelineConfig, run_pipeline
 
 
@@ -58,11 +58,29 @@ def test_same_seed_runs_write_identical_artifacts(tmp_path):
     for run in ("first", "second"):
         run_pipeline(PipelineConfig(
             nodes=2, observations_per_node=30, loss_probability=0.3, seed=7,
-            confirmable=True, compact_acks=True, artifacts_dir=str(tmp_path / run),
+            confirmable=True, artifacts_dir=str(tmp_path / run),
         ))
         runs.append([(tmp_path / run / name).read_bytes() for name in names])
     assert runs[0] == runs[1]
     assert b'"attempts":2' in runs[0][0]      # the loss made a node wait and resend
+
+
+def test_summary_counts_a_malformed_frame_at_the_gateway_endpoint(monkeypatch, tmp_path):
+    send = node.Node.send_observation
+
+    def send_after_junk(self, pump=None):
+        if not self.records:    # one frame too short for 802.15.4, before the first reading
+            self.endpoint.link.send(b"\x01\x02\x03", now=self.clock.now())
+        return send(self, pump=pump)
+
+    monkeypatch.setattr(node.Node, "send_observation", send_after_junk)
+    result = run_pipeline(PipelineConfig(observations_per_node=3, artifacts_dir=str(tmp_path)))
+    assert result.conserved
+    metrics = json.loads((tmp_path / "summary.json").read_text())["gateway_metrics"]
+    assert metrics == result.gateway_metrics
+    assert (metrics["link_errors"], metrics["lowpan_errors"],
+            metrics["reassembly_expired"]) == (1, 0, 0)
+    assert metrics["requests_received"] == 3
 
 
 def test_serve_and_replay_run_until_interrupted(capsys, monkeypatch, tmp_path):

@@ -14,7 +14,6 @@ import iotpipe
 from iotpipe import coap, gateway, link154, node, sensorthings, sizebench, stack
 from iotpipe.clock import VirtualClock
 
-MAPPING = gateway.ProxyMapping()
 UPSTREAM = gateway.UpstreamConfig(base_url="http://192.0.2.1/v1.0")
 
 PAYLOAD = b'{"result":2143}'
@@ -25,7 +24,7 @@ def canonical_post():
 
 
 def test_translate_canonical_post():
-    req = gateway.translate_request(canonical_post(), MAPPING, UPSTREAM)
+    req = gateway.translate_request(canonical_post(), UPSTREAM)
     assert req.method == "POST"
     assert req.url == "http://192.0.2.1/v1.0/Observations"
     assert req.headers["Content-Type"] == "application/json"
@@ -38,7 +37,7 @@ def test_translate_get_has_no_body():
         coap.MsgType.CON, (0, 1), 1, token=b"\x01",
         options=[(coap.OPT_URI_PATH, b"Things")],
     )
-    req = gateway.translate_request(msg, MAPPING, UPSTREAM)
+    req = gateway.translate_request(msg, UPSTREAM)
     assert req.method == "GET"
     assert req.url.endswith("/Things")
     assert req.body == b""
@@ -51,13 +50,13 @@ def test_translate_unmapped_method():
         options=[(coap.OPT_URI_PATH, b"Things")],
     )
     with pytest.raises(gateway.UnsupportedMethod):
-        gateway.translate_request(msg, MAPPING, UPSTREAM)
+        gateway.translate_request(msg, UPSTREAM)
 
 
 def test_translate_missing_path():
     msg = coap.CoapMessage(coap.MsgType.CON, (0, 1), 1, token=b"\x01")
     with pytest.raises(gateway.BadRequest):
-        gateway.translate_request(msg, MAPPING, UPSTREAM)
+        gateway.translate_request(msg, UPSTREAM)
 
 
 @pytest.mark.parametrize("status,code", [
@@ -72,21 +71,21 @@ def test_translate_missing_path():
 def test_status_mapping(status, code):
     request = canonical_post()
     resp = gateway.HttpReply(status, {}, b"")
-    out = gateway.translate_response(resp, request, MAPPING)
+    out = gateway.translate_response(resp, request, UPSTREAM)
     assert out.code == code
     assert out.token == request.token
 
 
 def test_unmapped_status_falls_back_to_bad_gateway():
     resp = gateway.HttpReply(418, {}, b"")
-    out = gateway.translate_response(resp, canonical_post(), MAPPING)
+    out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.code == (5, 2)
 
 
 def test_response_body_and_media_type_preserved():
     body = b'{"@iot.id": 3}'
     resp = gateway.HttpReply(200, {"Content-Type": "application/json"}, body)
-    out = gateway.translate_response(resp, canonical_post(), MAPPING)
+    out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.payload == body
     assert out.content_format() == coap.CF_JSON
 
@@ -97,9 +96,55 @@ def test_con_request_gets_ack_response(build_pair):
         coap.RequestConfig(msg_type=coap.MsgType.CON, token=b"\x05\x06", message_id=44),
     )
     resp = gateway.HttpReply(201, {}, b"")
-    out = gateway.translate_response(resp, request, MAPPING)
+    out = gateway.translate_response(resp, request, UPSTREAM)
     assert out.msg_type == coap.MsgType.ACK
     assert out.message_id == 44
+
+
+@pytest.mark.parametrize("location,segments", [
+    ("/v1.0/Observations(7)", [b"Observations(7)"]),
+    ("http://192.0.2.1/v1.0/Observations(7)", [b"Observations(7)"]),
+    ("HTTP://192.0.2.1/v1.0/Things(1)/Locations", [b"Things(1)", b"Locations"]),
+    ("/v1.0/Sensors(%C3%A9)", [b"Sensors(\xc3\xa9)"]),
+    (None, []),
+    ("/v2.0/Observations(7)", []),
+    ("/v1.0", []),
+    ("http://198.51.100.1/v1.0/Observations(7)", []),
+    ("/v1.0/Observations?$top=1", []),
+], ids=["path", "absolute-url", "two-segments", "percent-encoded", "missing",
+        "other-base", "the-base", "other-host", "query"])
+def test_created_reply_names_the_resource_in_location_path(location, segments):
+    headers = {"Content-Type": "application/json"}
+    if location is not None:
+        headers["Location"] = location
+    resp = gateway.HttpReply(201, headers, b'{"@iot.id":7,"result":2143}')
+    out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
+    assert out.code == (2, 1)
+    assert out.payload == b""
+    assert out.options == [(coap.OPT_LOCATION_PATH, s) for s in segments]
+
+
+def test_get_reply_keeps_its_body():
+    get = coap.CoapMessage(coap.MsgType.NON, coap.METHOD_GET, 3, token=b"\x03",
+                           options=[(coap.OPT_URI_PATH, b"Observations(7)")])
+    body = b'{"@iot.id":7,"result":2143}'
+    resp = gateway.HttpReply(200, {"Content-Type": "application/json",
+                                   "Location": "/v1.0/Observations(7)"}, body)
+    out = gateway.translate_response(resp, get, UPSTREAM)
+    assert out.options == [(coap.OPT_CONTENT_FORMAT, bytes([coap.CF_JSON]))]
+    assert out.payload == body
+
+
+@pytest.mark.parametrize("profile", ["calibrated", "extended"])
+def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
+    request = coap.build_observation_request(
+        ["Observations"], PAYLOAD,
+        coap.RequestConfig(msg_type=coap.MsgType.CON, token=bytes(8), message_id=9))
+    resp = gateway.HttpReply(201, {"Location": "/v1.0/Observations(9999999)"}, b"{}")
+    reply = coap.encode(gateway.translate_response(resp, request, UPSTREAM))
+    link = link154.SimulatedLink()
+    gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config(profile=profile))
+    assert len(gw_ep.send(reply).frame_sizes) == 1
 
 
 # -- end-to-end through a live backend --------------------------------------
@@ -109,13 +154,13 @@ def build_pair():
     """Builds (node endpoint, gateway) pairs; closes their sessions afterwards."""
     gateways = []
 
-    def build(base_url, loss=0.0, seed=0, mapping=None, timeout=5.0, session=None):
+    def build(base_url, loss=0.0, seed=0, timeout=5.0, session=None):
         link = link154.SimulatedLink(link154.LinkConfig(loss_probability=loss, seed=seed))
         node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config())
         gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config())
         gw = gateway.Gateway(
             gw_ep, gateway.UpstreamConfig(base_url=base_url, timeout=timeout),
-            mapping=mapping, session=session,
+            session=session,
         )
         gateways.append(gw)
         return node_ep, gw
@@ -198,7 +243,26 @@ def test_retransmission_deduplicated(backend, build_pair):
     assert gw.metrics.dedup_hits == 1
     responses = node_ep.receive(2.0)
     assert len(responses) == 2
-    assert responses[0].payload == responses[1].payload
+    assert responses[0].payload == responses[1].payload     # byte-identical resend
+    reply = coap.decode(responses[0].payload)
+    assert reply.code == (2, 1) and reply.payload == b""
+    assert reply.options == [(coap.OPT_LOCATION_PATH, b"Observations(1)")]
+
+
+def test_non_exchange_puts_two_frames_on_the_link(seeded_store):
+    clock = VirtualClock()
+    link = link154.SimulatedLink()
+    gw = gateway.Gateway(
+        stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
+        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
+        session=gateway.StoreSession(seeded_store, clock))
+    sensor = node.Node(node.NodeConfig(), stack.StackEndpoint(
+        link.endpoints[0], stack.node_stack_config()), clock)
+    record = sensor.send_observation(pump=gw.process_pending)
+    assert record.outcome == "acked" and record.response_code == "2.01"
+    assert record.total_frame_bytes == 67
+    assert (link.delivered, link.dropped) == (2, 0)
+    assert seeded_store.count("Observations") == 1
 
 
 # -- the upstream session ----------------------------------------------------
@@ -313,34 +377,41 @@ def test_bad_uri_path_is_4_00_and_counted(seeded_store, build_pair, options):
     assert gw.metrics.requests_forwarded == 0
 
 
-# A 240-value result is a request of about 1.2 kB; the full 2.01 echo of the
-# stored entity is longer than one 6LoWPAN datagram may be.
+# A 240-value result: the GET reply that carries it is longer than one
+# 6LoWPAN datagram may be.
 OVERSIZE_RESULT = [1000 + i for i in range(240)]
 
 
-def oversize_exchange(store, build_pair, confirmable):
-    clock = VirtualClock()
-    node_ep, gw = build_pair("http://sim/v1.0", session=gateway.StoreSession(store, clock))
-    config = node.NodeConfig(reliability=node.Reliability(confirmable=confirmable),
-                             temperature=node.FixedTemperature(OVERSIZE_RESULT))
-    record = node.Node(config, node_ep, clock).send_observation(pump=gw.process_pending)
-    return record, gw
+def oversize_get(store, build_pair, msg_type, sends):
+    """Send one GET of a stored 240-value Observations(1) ``sends`` times,
+    as a fresh request and then its retransmissions; returns the node
+    endpoint and the gateway."""
+    store.ingest_observation(1, {"result": OVERSIZE_RESULT}, receipt_time=0.0)
+    node_ep, gw = build_pair("http://sim/v1.0",
+                             session=gateway.StoreSession(store, VirtualClock()))
+    get = coap.encode(coap.CoapMessage(msg_type, coap.METHOD_GET, 9, token=b"\x09",
+                                       options=[(coap.OPT_URI_PATH, b"Observations(1)")]))
+    for attempt in range(sends):
+        node_ep.send(get, now=float(attempt))
+        assert gw.process_pending(float(attempt)) == 1
+    return node_ep, gw
 
 
 def test_oversize_reply_to_a_non_request_is_a_counted_drop(seeded_store, build_pair):
-    record, gw = oversize_exchange(seeded_store, build_pair, confirmable=False)
-    assert record.outcome == "sent"
+    node_ep, gw = oversize_get(seeded_store, build_pair, coap.MsgType.NON, sends=1)
+    assert node_ep.receive(1.0) == []
     assert seeded_store.count("Observations") == 1
     assert gw.metrics.oversize_replies == 1
     assert gw.metrics.responses_sent == 0
 
 
 def test_oversize_reply_to_con_retransmissions_stores_once(seeded_store, build_pair):
-    record, gw = oversize_exchange(seeded_store, build_pair, confirmable=True)
-    assert record.outcome == "failed" and record.attempts == 5
+    node_ep, gw = oversize_get(seeded_store, build_pair, coap.MsgType.CON, sends=5)
+    assert node_ep.receive(5.0) == []
     assert seeded_store.count("Observations") == 1
-    assert gw.metrics.dedup_hits == record.attempts - 1
-    assert gw.metrics.oversize_replies >= 2
+    assert gw.metrics.requests_forwarded == 1
+    assert gw.metrics.dedup_hits == 4
+    assert gw.metrics.oversize_replies == 5
     assert gw.metrics.responses_sent == 0
 
 
@@ -588,7 +659,7 @@ def test_store_session_answers_like_the_http_backend():
 
 
 def run_in_process(journal, seed):
-    """2 CON nodes at 30 % loss with compact ACKs, each through its own gateway
+    """2 CON nodes at 30 % loss, each through its own gateway
     to one StoreSession on the nodes' clock; returns the send records."""
     clock = VirtualClock()
     store = sensorthings.Store(journal_path=str(journal))
@@ -600,7 +671,7 @@ def run_in_process(journal, seed):
         gateways.append(gateway.Gateway(
             stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
             gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-            mapping=gateway.ProxyMapping(strip_success_bodies=True), session=session,
+            session=session,
         ))
         config = node.NodeConfig(reliability=node.Reliability(confirmable=True))
         node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config())

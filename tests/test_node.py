@@ -95,7 +95,6 @@ def con_exchange_rig(link_config):
     gw = gateway.Gateway(
         stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
         gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-        mapping=gateway.ProxyMapping(strip_success_bodies=True),
         session=gateway.StoreSession(store, clock),
     )
     sensor = node.Node(CON, stack.StackEndpoint(link.endpoints[0], stack.node_stack_config()),

@@ -4,6 +4,7 @@ import json
 import socket
 import struct
 import time
+import warnings
 
 import pytest
 import requests
@@ -147,6 +148,64 @@ def test_recovery_drops_truncated_tail(tmp_path):
         recovered = sensorthings.Store.recover(str(path))
     assert recovered.count("Observations") == 99
     recovered.close()
+
+
+def _snapshot(store):
+    return {kind: store.query(kind, {"$top": "1000"}) for kind in sensorthings.KINDS}
+
+
+def test_append_after_recovery_at_every_crash_point(tmp_path):
+    # For every byte offset k at which a crash can cut the journal: recover,
+    # append one record, recover again. The result is the records that lay
+    # wholly before k plus the new one, never CorruptJournal. The new record
+    # is a Sensor, which needs no earlier record, so every k can take it.
+    full = tmp_path / "full.jsonl"
+    store = sensorthings.Store(journal_path=str(full))
+    sensorthings.seed_default_entities(store)
+    for i in range(2):
+        store.ingest_observation(1, {"result": i}, receipt_time=float(i))
+    store.close()
+    raw = full.read_bytes()
+    path, expected = tmp_path / "cut.jsonl", tmp_path / "expected.jsonl"
+    for k in range(len(raw) + 1):
+        whole = raw[:raw.rfind(b"\n", 0, k) + 1]
+        path.write_bytes(raw[:k])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store = sensorthings.Store.recover(str(path))
+        assert store.torn_bytes == k - len(whole)
+        assert len(caught) == (k > len(whole))
+        store.create_entity("Sensors", {"name": "after the crash"})
+        store.close()
+
+        expected.write_bytes(whole)
+        reference = sensorthings.Store.recover(str(expected))
+        reference.create_entity("Sensors", {"name": "after the crash"})
+        reference.close()
+        assert path.read_bytes() == expected.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = sensorthings.Store.recover(str(path))
+        again.close()
+        assert _snapshot(again) == _snapshot(reference)
+
+
+def test_unparsable_final_record_is_cut_before_the_next_append(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    store = sensorthings.Store(journal_path=str(path))
+    sensorthings.seed_default_entities(store)
+    store.close()
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"op":"create"}\n')     # complete line, not a record
+    with pytest.warns(UserWarning):
+        store = sensorthings.Store.recover(str(path))
+    assert store.torn_bytes == len(b'{"op":"create"}\n')
+    store.ingest_observation(1, {"result": 1}, receipt_time=0.0)
+    store.close()
+    assert path.read_bytes().startswith(whole)
+    again = sensorthings.Store.recover(str(path))
+    assert again.count("Observations") == 1
+    again.close()
 
 
 def test_recovery_of_empty_journal(tmp_path):

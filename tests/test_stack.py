@@ -55,8 +55,12 @@ def test_frames_match_the_derived_overhead_at_every_payload_size(profile):
         node_ep.send(bytes(largest + 1))
 
 
-@pytest.mark.parametrize("reading,frames", [(2143, 1), ("x" * 300, 4)],
-                         ids=["one-frame", "fragmented"])
+# The largest request the extended profile carries: a 1377-B payload.
+LARGEST_READING = "x" * (1377 - len('{"result":""}'))
+
+
+@pytest.mark.parametrize("reading,frames", [(2143, 1), ("x" * 300, 4), (LARGEST_READING, 15)],
+                         ids=["one-frame", "fragmented", "largest"])
 def test_extended_profile_exchange_carries_fcs_and_source_pan(backend, reading, frames):
     node_ep, gw_ep = endpoint_pair("extended")
     gw = gateway.Gateway(gw_ep, gateway.UpstreamConfig(base_url=backend.base_url))
@@ -67,8 +71,10 @@ def test_extended_profile_exchange_carries_fcs_and_source_pan(backend, reading, 
     finally:
         gw.session.close()
     assert record.response_code == "2.01"
+    assert record.payload_bytes == len(node.serialize_payload(reading))
     assert backend.store.count("Observations") == 1
     assert len(node_ep.link.sent) == frames
+    assert len(gw_ep.link.sent) == 1        # the 2.01 names the row; it carries no body
     for wire in node_ep.link.sent + gw_ep.link.sent:
         assert not int.from_bytes(wire[:2], "little") & (1 << 6)  # intra-PAN bit clear
         assert link154.LinkFrame.parse(wire, include_fcs=True).src_pan == link154.PAN_ID
