@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from urllib.parse import unquote_to_bytes, urlsplit
 
 from . import coap, lowpan, sensorthings
-from .sensorthings import MAX_HEADERS, MAX_LINE
+from .sensorthings import MAX_LINE
 from .stack import StackEndpoint
 
 
@@ -85,7 +85,7 @@ class HttpRequestModel:
     body: bytes
 
 
-# What a session's ``request`` returns; ``headers.get`` is case-insensitive.
+# What a session's ``request`` returns; ``headers`` is keyed by lower-case name.
 HttpReply = namedtuple("HttpReply", "status_code headers content")
 
 
@@ -120,11 +120,11 @@ def translate_response(resp: HttpReply, request: coap.CoapMessage,
     code = STATUS_CODES.get(resp.status_code, FALLBACK_CODE)
     if resp.status_code == 201 and request.code == coap.METHOD_POST:
         return _reply_to(request, code,
-                         _location_path(resp.headers.get("Location"), upstream.base_url))
+                         _location_path(resp.headers.get("location"), upstream.base_url))
     options = []
     body = resp.content or b""
     if body:
-        media_type = (resp.headers.get("Content-Type") or "").split(";")[0].strip()
+        media_type = (resp.headers.get("content-type") or "").split(";")[0].strip()
         cf = CONTENT_FORMAT_IDS.get(media_type)
         if cf is not None:
             options.append((coap.OPT_CONTENT_FORMAT, bytes([cf])))
@@ -175,8 +175,10 @@ class HttpSession:
     Speaks the subset the hop needs. Each request goes out in one send: the
     request line, ``Host``, the caller's headers and ``Content-Length``. A
     reply is framed by ``Content-Length``, by chunked coding or by the end of
-    the connection; a 1xx reply before it is skipped, and a malformed one
-    raises an ``http.client.HTTPException``.
+    the connection; a 1xx reply before it is skipped. Every head is read by
+    ``sensorthings.read_fields``. A malformed reply raises an
+    ``http.client.HTTPException``, and one cut off within its head raises
+    ConnectionAbortedError.
 
     Opens one connection on first use and reuses it. A connection the server
     has closed while idle is replaced before anything is sent. Any transport
@@ -270,15 +272,11 @@ def _read_reply(rfile):
                 and code[0] != 48 and rest[3:4] in (b" ", b"\r", b"\n")):
             raise http.client.BadStatusLine(repr(line))
         status = int(code)
-        headers = _read_fields(rfile)
+        headers = sensorthings.read_fields(rfile)
 
-    connection = (headers.get("Connection") or "").lower()
-    if version == b"HTTP/1.1":
-        keep_alive = "close" not in connection
-    else:
-        keep_alive = "keep-alive" in connection
-    coding = headers.get("Transfer-Encoding")
-    length = headers.get("Content-Length")
+    keep_alive = sensorthings.keeps_alive(version, headers)
+    length = sensorthings.content_length(headers)
+    coding = headers.get("transfer-encoding")
     if status in (204, 304):
         content = b""
     elif coding is not None:
@@ -287,28 +285,10 @@ def _read_reply(rfile):
         else:
             content, keep_alive = rfile.read(), False
     elif length is not None:
-        if not (length.isascii() and length.isdigit() and len(length) < 19):
-            raise http.client.HTTPException("bad Content-Length %r" % length)
-        content = _read_exactly(rfile, int(length))
+        content = _read_exactly(rfile, length)
     else:
         content, keep_alive = rfile.read(), False
     return HttpReply(status, headers, content), keep_alive
-
-
-def _read_fields(rfile) -> http.client.HTTPMessage:
-    """Header (or trailer) fields up to the blank line that ends them."""
-    fields = http.client.HTTPMessage()
-    for _ in range(MAX_HEADERS + 1):
-        line = rfile.readline(MAX_LINE + 1)
-        if line in (b"\r\n", b"\n", b""):
-            return fields
-        if len(line) > MAX_LINE:
-            raise http.client.LineTooLong("header line")
-        name, colon, value = line.decode("latin-1").partition(":")
-        if not colon:
-            raise http.client.HTTPException("malformed header line %r" % line)
-        fields[name.strip()] = value.strip()
-    raise http.client.HTTPException("got more than %d headers" % MAX_HEADERS)
 
 
 def _read_exactly(rfile, n: int) -> bytes:
@@ -338,7 +318,7 @@ def _read_chunked(rfile) -> bytes:
             break
         chunks.append(_read_exactly(rfile, size))
         _read_exactly(rfile, 2)     # the CRLF after the chunk data
-    _read_fields(rfile)
+    sensorthings.read_fields(rfile)
     return b"".join(chunks)
 
 
@@ -356,11 +336,8 @@ class StoreSession:
     def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
         status, obj, location = sensorthings.respond(
             self.store, method, _target(urlsplit(url)), data or b"", self.clock.now())
-        reply_headers = http.client.HTTPMessage()
-        reply_headers["Content-Type"] = "application/json"
-        if location:
-            reply_headers["Location"] = location
-        return HttpReply(status, reply_headers, json.dumps(obj).encode("utf-8"))
+        return HttpReply(status, {"content-type": "application/json", "location": location},
+                         json.dumps(obj).encode("utf-8"))
 
     def close(self):
         pass

@@ -40,14 +40,6 @@ class DatagramTooLarge(LowpanError):
     pass
 
 
-class IncompleteSet(LowpanError):
-    pass
-
-
-class OverlapMismatch(LowpanError):
-    pass
-
-
 @dataclass
 class Ipv6UdpHeaders:
     src_addr: bytes            # 16 bytes
@@ -390,13 +382,6 @@ def parse_datagram(data: bytes, context: CompressionContext):
     return headers, payload
 
 
-def decompress(compressed: CompressedHeaders, context: CompressionContext,
-               payload: bytes = b"") -> Ipv6UdpHeaders:
-    """Inverse of compress for a known payload (checksum recomputation)."""
-    headers, _ = parse_datagram(compressed.to_bytes() + payload, context)
-    return headers
-
-
 @dataclass
 class FragmentSet:
     datagram_size: int
@@ -448,26 +433,6 @@ def fragment(datagram: bytes, link_mtu_payload: int, tag: int = 0) -> FragmentSe
         fragments=fragments,
         fragmented=True,
     )
-
-
-def reassemble(fragments: FragmentSet) -> bytes:
-    if not fragments.fragmented:
-        return fragments.fragments[0][1]
-    pieces = sorted(fragments.fragments)
-    expected = 0
-    out = bytearray()
-    for offset, chunk in pieces:
-        if offset != expected:
-            if offset < expected:
-                raise OverlapMismatch("fragment at offset %d overlaps" % offset)
-            raise IncompleteSet("gap before offset %d" % offset)
-        out += chunk
-        expected += len(chunk)
-    if expected != fragments.datagram_size:
-        raise IncompleteSet(
-            "have %d of %d bytes" % (expected, fragments.datagram_size)
-        )
-    return bytes(out)
 
 
 REASSEMBLY_TIMEOUT = 5.0

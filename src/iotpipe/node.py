@@ -1,6 +1,6 @@
 """Simulated constrained sensor node.
 
-Pushes one temperature observation per period as a CoAP POST through the
+Sends one temperature observation per call as a CoAP POST through the
 compressed (or uncompressed) stack, optionally with confirmable
 retransmission, and records per-layer sizes and outcomes.
 """
@@ -31,17 +31,6 @@ class FixedTemperature:
         return self.value
 
 
-class RandomWalkTemperature:
-    def __init__(self, seed: int = 0, start: int = 2143, step: int = 5):
-        self._rng = random.Random(seed)
-        self._value = start
-        self._step = step
-
-    def next(self) -> int:
-        self._value += self._rng.randint(-self._step, self._step)
-        return self._value
-
-
 @dataclass
 class Reliability:
     confirmable: bool = False
@@ -50,7 +39,7 @@ class Reliability:
 
 @dataclass
 class NodeConfig:
-    period: float = 10.0
+    period: float = 10.0    # inert: nothing reads it; perfbench still sets it (ROADMAP item 1)
     reliability: Reliability = field(default_factory=Reliability)
     temperature: object = field(default_factory=FixedTemperature)
 
@@ -184,26 +173,3 @@ class Node:
         self.records.append(record)
         return record
 
-
-def run_node(config: NodeConfig, endpoint: StackEndpoint, clock,
-             duration: float = None, count: int = None, pump=None,
-             node_id: int = 0) -> list:
-    """Run one node for a duration or an observation count; returns SendRecords.
-
-    `pump` is called with the current time whenever the node yields, so a
-    co-scheduled gateway can process traffic between node steps.
-    """
-    if duration is None and count is None:
-        raise ValueError("need a duration or a count bound")
-    node = Node(config, endpoint, clock, node_id=node_id)
-    start = clock.now()
-    sent = 0
-    while True:
-        if count is not None and sent >= count:
-            break
-        if duration is not None and clock.now() - start + config.period > duration + 1e-9:
-            break
-        clock.sleep(config.period)
-        node.send_observation(pump=pump)
-        sent += 1
-    return node.records

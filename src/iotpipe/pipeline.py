@@ -91,7 +91,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 metrics_log=metrics_log,
             ))
             cfg = nodemod.NodeConfig(
-                period=config.period,
                 reliability=nodemod.Reliability(
                     confirmable=config.confirmable,
                     max_retransmit=config.max_retransmit,

@@ -7,6 +7,7 @@ Requests are answered by one function, ``respond``; the HTTP server only
 reads and writes HTTP around it.
 """
 
+import http.client
 import json
 import re
 import socketserver
@@ -461,6 +462,68 @@ _REASONS = {status.value: status.phrase for status in HTTPStatus}
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
+class _TooManyFields(http.client.LineTooLong):
+    def __init__(self):
+        http.client.HTTPException.__init__(self, "more than %d header fields" % MAX_HEADERS)
+
+
+def read_fields(rfile) -> dict:
+    """Header (or trailer) fields up to the blank line that ends them, keyed
+    by lower-case name; a repeated field's values are joined with ", ".
+
+    Both ends of the upstream hop read every message head through here. A
+    line over MAX_LINE bytes or more than MAX_HEADERS fields raise
+    ``http.client.LineTooLong``; a line without a colon, whitespace before
+    the colon (RFC 9112 section 5.1) or Content-Length values that differ
+    raise ``http.client.HTTPException``; the end of the stream before the
+    blank line raises ConnectionAbortedError.
+    """
+    fields = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise ConnectionAbortedError("peer closed the connection mid-head")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            raise http.client.HTTPException("malformed header line %r" % line[:80])
+        name, value = name.lower(), value.strip()
+        old = fields.get(name)
+        if old is None:
+            fields[name] = value
+        elif name == "content-length":
+            if value != old:
+                raise http.client.HTTPException("differing Content-Length values")
+        else:
+            fields[name] = old + ", " + value
+    raise _TooManyFields()
+
+
+def content_length(fields: dict):
+    """The Content-Length of a message head as an int, or None without one;
+    a value other than ASCII digits raises ``http.client.HTTPException``."""
+    value = fields.get("content-length")
+    if value is None:
+        return None
+    if value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:      # more digits than int() converts
+            pass
+    raise http.client.HTTPException("bad Content-Length %r" % value[:80])
+
+
+def keeps_alive(version: bytes, fields: dict) -> bool:
+    """Whether the connection stays open after a message of HTTP ``version``."""
+    tokens = [token.strip() for token in fields.get("connection", "").lower().split(",")]
+    if version == b"HTTP/1.1":
+        return "close" not in tokens
+    return "keep-alive" in tokens
+
+
 class _Refused(Exception):
     """A request the handler answers itself with ``status``, then closes."""
 
@@ -506,48 +569,27 @@ class _Handler(socketserver.StreamRequestHandler):
         if len(parts) != 3 or not parts[2].startswith(b"HTTP/"):
             raise _Refused(400, "malformed request line")
         method, target, version = parts
-        rfile = self.rfile
-        fields = {}
-        for _ in range(MAX_HEADERS + 1):
-            field = rfile.readline(MAX_LINE + 1)
-            if field in (b"\r\n", b"\n"):
-                break
-            if not field:
-                raise ConnectionAbortedError("peer closed the connection mid-request")
-            if len(field) > MAX_LINE:
-                raise _Refused(431, "header field line over %d bytes" % MAX_LINE)
-            name, colon, value = field.partition(b":")
-            if not colon:
-                raise _Refused(400, "malformed header field line")
-            fields[name.strip().lower()] = value.strip()
-        else:
-            raise _Refused(431, "more than %d header fields" % MAX_HEADERS)
-
-        tokens = fields.get(b"connection", b"").lower().replace(b" ", b"").split(b",")
-        if version == b"HTTP/1.1":
-            keep_alive = b"close" not in tokens
-        elif version == b"HTTP/1.0":
-            keep_alive = b"keep-alive" in tokens
-        else:
-            raise _Refused(505, "HTTP version not supported")
-        if b"transfer-encoding" in fields:
-            raise _Refused(501, "Transfer-Encoding is not supported")
-        raw = fields.get(b"content-length", b"0")
         try:
-            length = int(raw) if raw.isdigit() else -1   # bytes.isdigit: ASCII only
-        except ValueError:      # more digits than int() converts
-            length = -1
-        if length < 0:
-            raise _Refused(400, "Content-Length must be a non-negative integer")
+            fields = read_fields(self.rfile)
+            length = content_length(fields) or 0
+        except http.client.LineTooLong as exc:
+            raise _Refused(431, str(exc))
+        except http.client.HTTPException as exc:
+            raise _Refused(400, str(exc))
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            raise _Refused(505, "HTTP version not supported")
+        if "transfer-encoding" in fields:
+            raise _Refused(501, "Transfer-Encoding is not supported")
         if length > MAX_BODY:
             raise _Refused(413, "request body over %d bytes" % MAX_BODY)
-        if fields.get(b"expect", b"").lower() == b"100-continue":
+        if fields.get("expect", "").lower() == "100-continue":
             self.wfile.write(_CONTINUE)
         # Read the body of every method, so none is left in a keep-alive stream.
-        body = rfile.read(length) if length else b""
+        body = self.rfile.read(length) if length else b""
         if len(body) < length:
             raise ConnectionAbortedError("peer closed the connection mid-body")
-        return method.decode("latin-1"), target.decode("latin-1"), keep_alive, body
+        return (method.decode("latin-1"), target.decode("latin-1"),
+                keeps_alive(version, fields), body)
 
     def _reply(self, now, status, obj, location, keep_alive, with_body=True):
         body = json.dumps(obj).encode("utf-8")

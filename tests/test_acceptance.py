@@ -150,12 +150,15 @@ def test_criterion_4_codec_property_suites(capsys):
     for _ in range(1000):
         headers, ctx, payload = _random_headers(rng)
         compressed = lowpan.compress(headers, ctx)
-        assert lowpan.decompress(compressed, ctx, payload) == headers
+        assert lowpan.parse_datagram(compressed.to_bytes() + payload, ctx) == (headers, payload)
         assert compressed.size < 48
     for size in range(1, 1409):
         budget = 16 + (size % 112)  # budgets cycle across [16, 127]
         datagram = bytes(i & 0xFF for i in range(size))
-        assert lowpan.reassemble(lowpan.fragment(datagram, budget)) == datagram
+        reassembler = lowpan.Reassembler()
+        pushed = [reassembler.push(b"\x01", wire) for wire in
+                  lowpan.fragment(datagram, budget).wire_fragments()]
+        assert pushed[-1] == datagram and pushed[:-1] == [None] * (len(pushed) - 1)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     with capsys.disabled():
@@ -206,10 +209,8 @@ def test_criterion_6_fault_behavior(capsys):
     gw = gateway.Gateway(
         gw_ep, gateway.UpstreamConfig(base_url="http://127.0.0.1:9/v1.0")
     )
-    records = node.run_node(
-        node.NodeConfig(), node_ep, VirtualClock(), count=10,
-        pump=lambda now: gw.process_pending(now),
-    )
+    sensor = node.Node(node.NodeConfig(), node_ep, VirtualClock())
+    records = [sensor.send_observation(pump=gw.process_pending) for _ in range(10)]
     assert all(r.response_code == "5.02" for r in records)
     assert all(r.outcome != "acked" for r in records)
     assert store.count("Observations") == 0

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import iotpipe
 from iotpipe import coap, gateway, link154, node, sensorthings, sizebench, stack
 from iotpipe.clock import VirtualClock
+from iotpipe.pipeline import PipelineConfig, run_pipeline
 
 UPSTREAM = gateway.UpstreamConfig(base_url="http://192.0.2.1/v1.0")
 
@@ -84,7 +85,7 @@ def test_unmapped_status_falls_back_to_bad_gateway():
 
 def test_response_body_and_media_type_preserved():
     body = b'{"@iot.id": 3}'
-    resp = gateway.HttpReply(200, {"Content-Type": "application/json"}, body)
+    resp = gateway.HttpReply(200, {"content-type": "application/json"}, body)
     out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.payload == body
     assert out.content_format() == coap.CF_JSON
@@ -114,9 +115,9 @@ def test_con_request_gets_ack_response(build_pair):
 ], ids=["path", "absolute-url", "two-segments", "percent-encoded", "missing",
         "other-base", "the-base", "other-host", "query"])
 def test_created_reply_names_the_resource_in_location_path(location, segments):
-    headers = {"Content-Type": "application/json"}
+    headers = {"content-type": "application/json"}
     if location is not None:
-        headers["Location"] = location
+        headers["location"] = location
     resp = gateway.HttpReply(201, headers, b'{"@iot.id":7,"result":2143}')
     out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.code == (2, 1)
@@ -128,8 +129,8 @@ def test_get_reply_keeps_its_body():
     get = coap.CoapMessage(coap.MsgType.NON, coap.METHOD_GET, 3, token=b"\x03",
                            options=[(coap.OPT_URI_PATH, b"Observations(7)")])
     body = b'{"@iot.id":7,"result":2143}'
-    resp = gateway.HttpReply(200, {"Content-Type": "application/json",
-                                   "Location": "/v1.0/Observations(7)"}, body)
+    resp = gateway.HttpReply(200, {"content-type": "application/json",
+                                   "location": "/v1.0/Observations(7)"}, body)
     out = gateway.translate_response(resp, get, UPSTREAM)
     assert out.options == [(coap.OPT_CONTENT_FORMAT, bytes([coap.CF_JSON]))]
     assert out.payload == body
@@ -140,7 +141,7 @@ def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
     request = coap.build_observation_request(
         ["Observations"], PAYLOAD,
         coap.RequestConfig(msg_type=coap.MsgType.CON, token=bytes(8), message_id=9))
-    resp = gateway.HttpReply(201, {"Location": "/v1.0/Observations(9999999)"}, b"{}")
+    resp = gateway.HttpReply(201, {"location": "/v1.0/Observations(9999999)"}, b"{}")
     reply = coap.encode(gateway.translate_response(resp, request, UPSTREAM))
     link = link154.SimulatedLink()
     gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config(profile=profile))
@@ -172,11 +173,7 @@ def build_pair():
 
 def test_ten_observations_stored_and_acknowledged(backend, build_pair):
     node_ep, gw = build_pair(backend.base_url)
-    clock = VirtualClock()
-    records = node.run_node(
-        node.NodeConfig(), node_ep, clock, count=10,
-        pump=lambda now: gw.process_pending(now),
-    )
+    records = send_observations(node_ep, gw, 10)
     assert len(records) == 10
     assert all(r.outcome == "acked" and r.response_code == "2.01" for r in records)
     assert backend.store.count("Observations") == 10
@@ -185,22 +182,23 @@ def test_ten_observations_stored_and_acknowledged(backend, build_pair):
 
 def test_payload_bytes_preserved_end_to_end(backend, build_pair):
     node_ep, gw = build_pair(backend.base_url)
-    records = node.run_node(
-        node.NodeConfig(), node_ep, VirtualClock(), count=3,
-        pump=lambda now: gw.process_pending(now),
-    )
+    records = send_observations(node_ep, gw, 3)
     stored = backend.store.query("Datastreams(1)/Observations")["value"]
     for record, obs in zip(records, stored):
         assert obs["result"] == record.result
         assert bytes.fromhex(record.payload_hex) == b'{"result":%d}' % obs["result"]
 
 
+def test_pipeline_on_an_external_backend_reads_the_stored_count_over_http(backend):
+    result = run_pipeline(PipelineConfig(observations_per_node=5,
+                                         backend_url=backend.base_url))
+    assert result.conserved and result.stored == 5
+    assert backend.store.count("Observations") == 5
+
+
 def test_backend_down_yields_gateway_errors(seeded_store, build_pair):
     node_ep, gw = build_pair("http://127.0.0.1:9")  # discard port, nothing listens
-    records = node.run_node(
-        node.NodeConfig(), node_ep, VirtualClock(), count=3,
-        pump=lambda now: gw.process_pending(now),
-    )
+    records = send_observations(node_ep, gw, 3)
     assert all(r.response_code == "5.02" for r in records)
     assert seeded_store.count("Observations") == 0
     assert gw.metrics.upstream_errors == 3
@@ -268,10 +266,10 @@ def test_non_exchange_puts_two_frames_on_the_link(seeded_store):
 # -- the upstream session ----------------------------------------------------
 
 def send_observations(node_ep, gw, count):
-    return node.run_node(
-        node.NodeConfig(), node_ep, VirtualClock(), count=count,
-        pump=lambda now: gw.process_pending(now),
-    )
+    """Send records of ``count`` NON observations from a fresh node, each
+    answered through ``gw``."""
+    sensor = node.Node(node.NodeConfig(), node_ep, VirtualClock())
+    return [sensor.send_observation(pump=gw.process_pending) for _ in range(count)]
 
 
 def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_pair):
@@ -519,8 +517,11 @@ def test_session_reconnects_after_a_reply_that_ends_the_connection(scripted, rep
     (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * sensorthings.MAX_LINE, http.client.LineTooLong),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", http.client.HTTPException),
     (b"", http.client.RemoteDisconnected),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabc",
+     http.client.HTTPException),
+    (b"HTTP/1.1 204 No Content\r\nX-A: 1\r\n", ConnectionAbortedError),
 ], ids=["short-body", "short-chunk", "bad-chunk-size", "not-http", "long-header",
-        "bad-length", "no-reply"])
+        "bad-length", "no-reply", "differing-lengths", "cut-head"])
 def test_malformed_reply_raises_and_the_gateway_answers_5_02(scripted, build_pair,
                                                                reply, error):
     upstream = scripted([reply], [reply])

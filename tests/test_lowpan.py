@@ -41,7 +41,7 @@ def test_best_case_compression_is_6_bytes():
     c = lowpan.compress(h, CTX)
     assert c.size == 6
     assert len(c.iphc_bytes) == 2
-    assert lowpan.decompress(c, CTX) == h
+    assert lowpan.parse_datagram(c.to_bytes(), CTX) == (h, b"")
 
 
 def test_best_case_exact_bytes():
@@ -63,7 +63,7 @@ def test_global_addresses_carried_inline():
     h = make_headers(src, dst)
     c = lowpan.compress(h, CTX)
     assert c.size >= 2 + 32
-    assert lowpan.decompress(c, CTX) == h
+    assert lowpan.parse_datagram(c.to_bytes(), CTX) == (h, b"")
 
 
 def test_calibrated_pipeline_headers_compress_to_9_bytes():
@@ -73,7 +73,7 @@ def test_calibrated_pipeline_headers_compress_to_9_bytes():
     assert c.size == 9
     assert c.network_bytes == 5
     assert c.transport_bytes == 4
-    assert lowpan.decompress(c, CTX) == h
+    assert lowpan.parse_datagram(c.to_bytes(), CTX) == (h, b"")
 
 
 def test_compress_rejects_non_udp():
@@ -180,7 +180,7 @@ def test_elided_checksum_recomputed():
     )
     c = lowpan.compress(h, ctx)
     assert c.size == 4  # checksum gone
-    assert lowpan.decompress(c, ctx, payload) == h
+    assert lowpan.parse_datagram(c.to_bytes() + payload, ctx) == (h, payload)
 
 
 def test_context_missing():
@@ -259,7 +259,7 @@ def header_cases(draw):
 def test_compression_round_trip(case):
     headers, ctx, payload = case
     compressed = lowpan.compress(headers, ctx)
-    assert lowpan.decompress(compressed, ctx, payload) == headers
+    assert lowpan.parse_datagram(compressed.to_bytes() + payload, ctx) == (headers, payload)
 
 
 @settings(max_examples=400, deadline=None)
@@ -271,11 +271,17 @@ def test_compression_always_beats_uncompressed(case):
 
 # -- fragmentation ----------------------------------------------------------
 
+def receive(fset):
+    """What one Reassembler returns for each of ``fset``'s link payloads."""
+    reassembler = lowpan.Reassembler()
+    return [reassembler.push(b"\x01\x02", wire) for wire in fset.wire_fragments()]
+
+
 def test_single_fragment_for_small_datagram():
     fset = lowpan.fragment(b"x" * 67, 102)
     assert not fset.fragmented
     assert fset.wire_fragments() == [b"x" * 67]
-    assert lowpan.reassemble(fset) == b"x" * 67
+    assert receive(fset) == [b"x" * 67]
 
 
 def test_multi_fragment_split_reassembles():
@@ -284,7 +290,7 @@ def test_multi_fragment_split_reassembles():
     fset = lowpan.fragment(datagram, 96)
     assert len(fset.fragments) == 3
     assert all(offset % 8 == 0 for offset, _ in fset.fragments)
-    assert lowpan.reassemble(fset) == datagram
+    assert receive(fset) == [None, None, datagram]
 
 
 def test_datagram_too_large():
@@ -293,15 +299,13 @@ def test_datagram_too_large():
 
 
 def test_missing_middle_fragment():
-    datagram = b"y" * 300
-    fset = lowpan.fragment(datagram, 80)
-    broken = lowpan.FragmentSet(
-        datagram_size=fset.datagram_size,
-        datagram_tag=fset.datagram_tag,
-        fragments=[fset.fragments[0]] + fset.fragments[2:],
-    )
-    with pytest.raises(lowpan.IncompleteSet):
-        lowpan.reassemble(broken)
+    wires = lowpan.fragment(b"y" * 300, 80).wire_fragments()
+    r = lowpan.Reassembler()
+    assert [r.push(b"\x01", wire, now=0.0) for wire in (wires[0], wires[-1])] == [None, None]
+    assert r.expired_count == 0
+    # the next push after the timeout drops the incomplete set, then buffers anew
+    assert r.push(b"\x01", wires[1], now=lowpan.REASSEMBLY_TIMEOUT) is None
+    assert r.expired_count == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,7 +319,7 @@ def test_fragmentation_identity(size, budget):
     for _, chunk in fset.fragments:
         header = 0 if not fset.fragmented else 5
         assert len(chunk) + header <= budget + 1  # FRAG1 header is 4, FRAGN 5
-    assert lowpan.reassemble(fset) == datagram
+    assert receive(fset) == [None] * (len(fset.fragments) - 1) + [datagram]
 
 
 def test_wire_fragments_reassemble_through_reassembler():

@@ -513,12 +513,17 @@ HEAD = b"GET /v1.0 HTTP/1.1\r\n"
     (HEAD + b"no colon here\r\n", 400),
     (b"GET /v1.0 HTTP/2.0\r\n\r\n", 505),
     (b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413),
+    (b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 12\r\n\r\n",
+     400),
+    (b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length : 12\r\n\r\n", 400),
 ], ids=["long-request-line", "long-header-line", "101-headers", "garbage", "no-version",
-        "header-without-colon", "http-2", "body-over-1-MiB"])
+        "header-without-colon", "http-2", "body-over-1-MiB", "differing-content-lengths",
+        "space-before-colon"])
 def test_malformed_requests_are_refused_and_closed(backend, request_bytes, status):
     [(got, fields, body)] = _replies(_raw(backend, request_bytes))
     assert (got, fields["Connection"]) == (status, "close")
     assert "error" in json.loads(body)
+    assert backend.store.count("Observations") == 0
 
 
 def test_exactly_100_headers_are_read(backend):
