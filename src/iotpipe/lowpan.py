@@ -92,20 +92,38 @@ class Ipv6UdpHeaders:
         )
 
 
+def _word_sum(data: bytes) -> int:
+    """The sum of ``data`` as big-endian 16-bit words (an odd tail padded with
+    a zero byte), modulo 0xFFFF. As 2**16 ≡ 1 (mod 0xFFFF), the number the
+    bytes spell is congruent to the sum of its words, so one C-level
+    conversion replaces the word loop."""
+    value = int.from_bytes(data, "big")
+    return (value << 8 if len(data) & 1 else value) % 0xFFFF
+
+
+def pseudo_header_sum(src_addr: bytes, dst_addr: bytes, src_port: int,
+                      dst_port: int) -> int:
+    """The part of the UDP checksum sum that does not depend on the payload:
+    the addresses, next header and ports (the length is added per datagram)."""
+    return _word_sum(src_addr + dst_addr) + UDP_PROTO + src_port + dst_port
+
+
+def checksum_with(header_sum: int, payload: bytes) -> int:
+    """UDP checksum of ``payload`` from its ``pseudo_header_sum``.
+
+    The length counts twice, in the pseudo-header and in the UDP header. The
+    one's-complement sum folded to 16 bits is 0xFFFF, not 0, whenever the
+    total is a non-zero multiple of 0xFFFF, and an all-zero total still sends
+    0xFFFF, so the result is never 0.
+    """
+    total = header_sum + 2 * (8 + len(payload)) + _word_sum(payload)
+    return 0xFFFF - total % 0xFFFF
+
+
 def udp_checksum(src_addr: bytes, dst_addr: bytes, src_port: int,
                  dst_port: int, payload: bytes) -> int:
     """UDP checksum over the IPv6 pseudo-header, ports, length and payload."""
-    length = 8 + len(payload)
-    pseudo = src_addr + dst_addr + struct.pack(">IHBB", length, 0, 0, UDP_PROTO)
-    udp = struct.pack(">HHHH", src_port, dst_port, length, 0) + payload
-    data = pseudo + udp
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(">%dH" % (len(data) // 2), data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    result = ~total & 0xFFFF
-    return result or 0xFFFF
+    return checksum_with(pseudo_header_sum(src_addr, dst_addr, src_port, dst_port), payload)
 
 
 def iid_from_link_addr(link_addr: bytes) -> bytes:

@@ -4,6 +4,8 @@ Binds one 802.15.4 link endpoint to a pair of IPv6/UDP endpoints and moves
 application payloads across, compressing and fragmenting as configured.
 """
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 from . import link154, lowpan
@@ -21,7 +23,7 @@ GATEWAY_PORT = 0xF0B2
 CALIBRATED_HOP_LIMIT = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class StackConfig:
     local_link_addr: bytes
     peer_link_addr: bytes
@@ -87,6 +89,102 @@ def link_frame(cfg: StackConfig, link_payload: bytes, sequence: int = 0) -> link
     )
 
 
+def peer_config(cfg: StackConfig) -> StackConfig:
+    """The config of ``cfg``'s peer: the same flow in the other direction."""
+    return dataclasses.replace(
+        cfg, local_link_addr=cfg.peer_link_addr, peer_link_addr=cfg.local_link_addr,
+        local_ipv6=cfg.peer_ipv6, peer_ipv6=cfg.local_ipv6,
+        local_port=cfg.peer_port, peer_port=cfg.local_port)
+
+
+# Where an uncompressed datagram (dispatch byte, then RFC 8200 / RFC 768
+# headers) carries its IPv6 payload length, and then its UDP length and
+# checksum, the fields that change per datagram.
+_PLAIN_LENGTH = 1 + 4
+_PLAIN_UDP_LENGTH = 1 + 44
+
+_SEQUENCE_BYTES = [bytes([n]) for n in range(256)]
+
+
+class _Flow:
+    """Header templates of the datagrams and frames that ``cfg``'s local end
+    sends to its peer, filled once from the general codecs.
+
+    Per datagram only the UDP checksum and the lengths change, and per frame
+    the sequence number (byte 2 of the 802.15.4 header) and the FCS. The
+    receiving end holds the same templates and recognises their bytes.
+    """
+
+    def __init__(self, cfg: StackConfig):
+        headers = udp_headers(cfg, b"")
+        ctx = lowpan.CompressionContext(link_src=cfg.local_link_addr,
+                                        link_dst=cfg.peer_link_addr)
+        compressed = lowpan.compress(headers, ctx).to_bytes()
+        # The inline checksum is the last field of the IPHC/NHC header
+        # (RFC 6282 section 4.3.3); everything before it is constant.
+        self.iphc_len = len(compressed)
+        self.iphc_prefix = compressed[:-2]
+        # The headers the receiver parses from the prefix, the same for every
+        # datagram of the flow apart from the checksum and the length.
+        self.headers, _ = lowpan.parse_datagram(compressed, ctx)
+        plain = bytes([lowpan.DISPATCH_IPV6]) + headers.serialize()
+        self.plain_head = plain[:_PLAIN_LENGTH]
+        self.plain_mid = plain[_PLAIN_LENGTH + 2:_PLAIN_UDP_LENGTH]
+        self.checksum_sum = lowpan.pseudo_header_sum(
+            cfg.local_ipv6, cfg.peer_ipv6, cfg.local_port, cfg.peer_port)
+        self.compress = cfg.compress
+
+        empty = link_frame(cfg, b"")
+        wire = empty.serialize()
+        self.include_fcs = empty.include_fcs
+        self.min_frame = len(wire)
+        self.header_len = len(wire) - (2 if empty.include_fcs else 0)
+        self.mac_head, self.mac_tail = wire[:2], wire[3:self.header_len]
+        self.src = cfg.local_link_addr
+
+    def datagram_header(self, payload: bytes) -> bytes:
+        checksum = lowpan.checksum_with(self.checksum_sum, payload).to_bytes(2, "big")
+        if self.compress:
+            return self.iphc_prefix + checksum
+        length = (8 + len(payload)).to_bytes(2, "big")
+        return self.plain_head + length + self.plain_mid + length + checksum
+
+    def frame(self, sequence: int, link_payload: bytes) -> bytes:
+        wire = self.mac_head + _SEQUENCE_BYTES[sequence] + self.mac_tail + link_payload
+        if self.include_fcs:
+            wire += link154.crc16_kermit(wire).to_bytes(2, "little")
+        return wire
+
+    def unframe(self, wire: bytes):
+        """The link payload of ``wire`` if it carries this flow's 802.15.4
+        header (any sequence number) and fits the frame limits, else None.
+        Raises ``LinkError`` on a bad FCS."""
+        if not (self.min_frame <= len(wire) <= link154.MAX_FRAME
+                and wire.startswith(self.mac_head) and wire.startswith(self.mac_tail, 3)):
+            return None
+        if not self.include_fcs:
+            return wire[self.header_len:]
+        if int.from_bytes(wire[-2:], "little") != link154.crc16_kermit(wire[:-2]):
+            raise link154.LinkError("FCS mismatch")
+        return wire[self.header_len:-2]
+
+    def parse(self, datagram: bytes):
+        """(headers, payload) of a datagram that starts with this flow's
+        IPHC/NHC header, else None."""
+        if len(datagram) < self.iphc_len or not datagram.startswith(self.iphc_prefix):
+            return None
+        h = self.headers
+        payload = datagram[self.iphc_len:]
+        return lowpan.Ipv6UdpHeaders(
+            h.src_addr, h.dst_addr, h.udp_src_port, h.udp_dst_port,
+            int.from_bytes(datagram[self.iphc_len - 2:self.iphc_len], "big"),
+            8 + len(payload), h.hop_limit, h.traffic_class, h.flow_label, h.next_header,
+        ), payload
+
+
+_flow = functools.cache(_Flow)  # one set of templates per config
+
+
 @dataclass
 class TransmitRecord:
     payload_bytes: int
@@ -108,7 +206,13 @@ class Datagram:
 
 
 class StackEndpoint:
-    """One UDP endpoint over one link endpoint. Single-owner, not thread-safe."""
+    """One UDP endpoint over one link endpoint. Single-owner, not thread-safe.
+
+    Headers come from per-flow templates (``_Flow``), filled on first use and
+    shared by every endpoint with the same config. A received frame or
+    datagram whose header is not its peer's template goes to the general
+    parsers, ``LinkFrame.parse`` and ``lowpan.parse_datagram``.
+    """
 
     def __init__(self, link_endpoint: link154.LinkEndpoint, config: StackConfig):
         self.link = link_endpoint
@@ -119,6 +223,7 @@ class StackEndpoint:
         self._sequence = 0
         self._tag = 0
         self._reassembler = lowpan.Reassembler()
+        self._out = self._in = None  # _Flow of what this end sends and receives
         self.link_errors = 0      # received frames dropped as malformed 802.15.4
         self.lowpan_errors = 0    # received frames dropped as malformed 6LoWPAN
 
@@ -127,15 +232,10 @@ class StackEndpoint:
         return self._reassembler.expired_count
 
     def send(self, payload: bytes, now: float = 0.0) -> TransmitRecord:
-        cfg = self.config
-        headers = udp_headers(cfg, payload)
-        if cfg.compress:
-            ctx = lowpan.CompressionContext(
-                link_src=cfg.local_link_addr, link_dst=cfg.peer_link_addr
-            )
-            header_bytes = lowpan.compress(headers, ctx).to_bytes()
-        else:
-            header_bytes = bytes([lowpan.DISPATCH_IPV6]) + headers.serialize()
+        flow = self._out
+        if flow is None:
+            flow = self._out = _flow(self.config)
+        header_bytes = flow.datagram_header(payload)
         datagram = header_bytes + payload
 
         self._tag = (self._tag + 1) & 0xFFFF
@@ -144,7 +244,7 @@ class StackEndpoint:
         frame_sizes = []
         delivered = True
         for link_payload in fset.wire_fragments():
-            wire = link_frame(cfg, link_payload, self._sequence).serialize()
+            wire = flow.frame(self._sequence, link_payload)
             self._sequence = (self._sequence + 1) & 0xFF
             frame_sizes.append(len(wire))
             outcome = self.link.send(wire, now=now)
@@ -166,18 +266,28 @@ class StackEndpoint:
         """
         out = []
         tick = now if now is not None else 0.0
+        flow = self._in
+        if flow is None:
+            flow = self._in = _flow(peer_config(self.config))
         for wire in self.link.receive(now):
             try:
-                frame = link154.LinkFrame.parse(wire, include_fcs=self._include_fcs)
+                link_payload = flow.unframe(wire)
+                if link_payload is not None:
+                    link_src = flow.src
+                else:
+                    frame = link154.LinkFrame.parse(wire, include_fcs=self._include_fcs)
+                    link_src, link_payload = bytes(frame.src_addr), frame.payload
             except link154.LinkError:
                 self.link_errors += 1
                 continue
-            link_src = bytes(frame.src_addr)
             try:
-                datagram = self._reassembler.push(link_src, frame.payload, now=tick)
+                datagram = self._reassembler.push(link_src, link_payload, now=tick)
                 if datagram is None:
                     continue
-                if datagram[0] == lowpan.DISPATCH_IPV6:
+                parsed = flow.parse(datagram) if link_src == flow.src else None
+                if parsed is not None:
+                    headers, payload = parsed
+                elif datagram[0] == lowpan.DISPATCH_IPV6:
                     headers = lowpan.Ipv6UdpHeaders.parse(datagram[1:49])
                     payload = datagram[49:]
                 else:

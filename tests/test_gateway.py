@@ -14,6 +14,7 @@ import iotpipe
 from iotpipe import coap, gateway, link154, node, sensorthings, sizebench, stack
 from iotpipe.clock import VirtualClock
 from iotpipe.pipeline import PipelineConfig, run_pipeline
+from tests.conftest import hostile_frames
 
 UPSTREAM = gateway.UpstreamConfig(base_url="http://192.0.2.1/v1.0")
 
@@ -245,6 +246,30 @@ def test_retransmission_deduplicated(backend, build_pair):
     reply = coap.decode(responses[0].payload)
     assert reply.code == (2, 1) and reply.payload == b""
     assert reply.options == [(coap.OPT_LOCATION_PATH, b"Observations(1)")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=st.sampled_from(("calibrated", "extended")), data=st.data())
+def test_any_frames_before_a_request_never_raise_and_it_is_answered(profile, data):
+    """Whatever frames reach the gateway ahead of a valid request, among them
+    the node's own 802.15.4 header and IPHC/NHC prefix around random bytes,
+    ``process_pending`` raises nothing and the request still gets its 2.01."""
+    node_cfg = stack.node_stack_config(profile=profile)
+    frames = data.draw(hostile_frames(node_cfg))
+    clock = VirtualClock()
+    store = sensorthings.Store()
+    sensorthings.seed_default_entities(store)
+    link = link154.SimulatedLink()
+    gw = gateway.Gateway(
+        stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config(profile=profile)),
+        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
+        session=gateway.StoreSession(store, clock))
+    sensor = node.Node(node.NodeConfig(), stack.StackEndpoint(link.endpoints[0], node_cfg), clock)
+    for wire in frames:
+        if len(wire) <= link154.MAX_FRAME:   # the link carries no longer frame
+            link.endpoints[0].send(wire)
+    record = sensor.send_observation(pump=gw.process_pending)
+    assert record.outcome == "acked" and record.response_code == "2.01"
 
 
 def test_non_exchange_puts_two_frames_on_the_link(seeded_store):

@@ -117,6 +117,53 @@ def test_decoders_raise_only_typed_errors(data, iphc_bits, include_fcs):
         assert datagram is None or len(datagram) > 0
 
 
+def rfc1071_udp_checksum(src, dst, sp, dp, payload):
+    """Reference: fold the pseudo-header, UDP header and payload word by word
+    with end-around carry (RFC 1071), complement, and send 0 as 0xFFFF."""
+    length = 8 + len(payload)
+    data = (src + dst + length.to_bytes(4, "big") + bytes([0, 0, 0, lowpan.UDP_PROTO])
+            + sp.to_bytes(2, "big") + dp.to_bytes(2, "big") + length.to_bytes(2, "big")
+            + bytes(2) + payload)
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += data[i] << 8 | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total & 0xFFFF) or 0xFFFF
+
+
+ADDRESS = st.binary(min_size=16, max_size=16)
+PORT = st.integers(0, 0xFFFF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=ADDRESS, dst=ADDRESS, sp=PORT, dp=PORT, payload=st.one_of(
+    st.binary(max_size=lowpan.MAX_DATAGRAM),
+    st.integers(0, lowpan.MAX_DATAGRAM).map(lambda n: bytes(n)),
+    st.integers(0, lowpan.MAX_DATAGRAM).map(lambda n: b"\xff" * n),
+))
+def test_udp_checksum_matches_the_rfc1071_word_fold(src, dst, sp, dp, payload):
+    assert lowpan.udp_checksum(src, dst, sp, dp, payload) == \
+        rfc1071_udp_checksum(src, dst, sp, dp, payload)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 15, 255, 1398, 1399, lowpan.MAX_DATAGRAM])
+@pytest.mark.parametrize("fill", [0x00, 0xFF, 0x5A])
+def test_udp_checksum_at_edge_lengths_and_fills(length, fill):
+    src, dst = lowpan.link_local_from(NODE_LINK), lowpan.link_local_from(GW_LINK)
+    payload = bytes([fill]) * length
+    assert lowpan.udp_checksum(src, dst, 0xF0B1, 0xF0B2, payload) == \
+        rfc1071_udp_checksum(src, dst, 0xF0B1, 0xF0B2, payload)
+
+
+def test_udp_checksum_sends_a_zero_sum_as_ffff():
+    # All-zero addresses, ports 0 and 0xFFDE and an empty payload sum to
+    # 17 + 0xFFDE + 2 * 8 = 0xFFFF, whose complement is 0.
+    assert rfc1071_udp_checksum(bytes(16), bytes(16), 0, 0xFFDE, b"") == 0xFFFF
+    assert lowpan.udp_checksum(bytes(16), bytes(16), 0, 0xFFDE, b"") == 0xFFFF
+
+
 @pytest.mark.parametrize("link_payload", ["", "c010", "c01000", "e0100001", "c0000001", "e000000100"])
 def test_reassembler_rejects_malformed_fragment_headers(link_payload):
     with pytest.raises(lowpan.BadDispatch):
