@@ -33,6 +33,8 @@ def _load_config(path, overrides):
             raise ConfigError("config file %r not found" % path)
         except ValueError as exc:
             raise ConfigError("config file %r is not valid JSON: %s" % (path, exc))
+        if not isinstance(config, dict):
+            raise ConfigError("config file %r does not hold a JSON object" % path)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError("override %r is not key=value" % item)
@@ -51,20 +53,30 @@ class ConfigError(Exception):
 def cmd_pipeline(args) -> int:
     try:
         file_cfg = _load_config(args.config, args.override)
-        cfg = PipelineConfig(
-            nodes=int(file_cfg.get("nodes", args.nodes)),
-            observations_per_node=int(file_cfg.get("count", args.count)),
-            period=float(file_cfg.get("period", args.period)),
-            loss_probability=float(file_cfg.get("loss", args.loss)),
-            seed=int(file_cfg.get("seed", args.seed)),
-            confirmable=file_cfg.get("mode", args.mode).upper() == "CON",
-            max_retransmit=int(file_cfg.get("max_retransmit", args.max_retransmit)),
-            compress=bool(file_cfg.get("compress", not args.no_compress)),
-            backend_url=file_cfg.get("backend_url", args.backend_url),
-            artifacts_dir=args.artifacts,
-        )
+        mode = str(file_cfg.get("mode", args.mode)).upper()
+        if mode not in ("NON", "CON"):
+            raise ConfigError("mode must be NON or CON")
+        try:
+            cfg = PipelineConfig(
+                nodes=int(file_cfg.get("nodes", args.nodes)),
+                observations_per_node=int(file_cfg.get("count", args.count)),
+                period=float(file_cfg.get("period", args.period)),
+                loss_probability=float(file_cfg.get("loss", args.loss)),
+                seed=int(file_cfg.get("seed", args.seed)),
+                confirmable=mode == "CON",
+                max_retransmit=int(file_cfg.get("max_retransmit", args.max_retransmit)),
+                compress=bool(file_cfg.get("compress", not args.no_compress)),
+                backend_url=file_cfg.get("backend_url", args.backend_url),
+                artifacts_dir=args.artifacts,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad config value: %s" % exc)
         if cfg.nodes < 1 or cfg.observations_per_node < 1 or cfg.period <= 0:
             raise ConfigError("nodes/count must be >= 1 and period > 0")
+        if cfg.max_retransmit < 0:
+            raise ConfigError("max_retransmit must be >= 0")
+        if cfg.backend_url is not None and not isinstance(cfg.backend_url, str):
+            raise ConfigError("backend_url must be a string")
         if not 0 <= cfg.loss_probability <= 1:
             raise ConfigError("loss must be within [0, 1]")
     except ConfigError as exc:
@@ -90,11 +102,10 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    templates = sizebench.CanonicalTemplates()
+    coap_path = sizebench.CALIBRATED_COAP_PATH
     if args.path:
-        segments = tuple(s for s in args.path.strip("/").split("/") if s)
-        templates = templates.with_path(segments)
-    report = sizebench.run_default_bench(templates=templates)
+        coap_path = tuple(s for s in args.path.strip("/").split("/") if s)
+    report = sizebench.run_default_bench(coap_path=coap_path)
     rendered = sizebench.emit_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

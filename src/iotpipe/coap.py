@@ -192,40 +192,22 @@ def decode(data: bytes) -> CoapMessage:
     )
 
 
-@dataclass
-class RequestConfig:
-    """How the node shapes its observation POST."""
-
-    msg_type: MsgType = MsgType.NON
-    token: bytes = b"\xca\xfe"
-    message_id: int = 0
-    content_format: int = CF_JSON
-
-
 def build_observation_request(path_segments, payload: bytes,
-                              config: RequestConfig = None) -> CoapMessage:
-    """Build the POST request pushing one observation.
+                              msg_type: MsgType = MsgType.NON, token: bytes = b"\xca\xfe",
+                              message_id: int = 0) -> CoapMessage:
+    """Build the JSON POST request pushing one observation.
 
-    With the default config (NON, 2-byte token, single path segment
-    "Observations") the encoded request carries exactly 22 bytes of
-    protocol overhead in front of the payload.
+    As a NON request with a 2-byte token to the single path segment
+    "Observations", it carries exactly 22 bytes of protocol overhead in front
+    of the payload.
     """
-    if config is None:
-        config = RequestConfig()
     if not payload:
         raise ValueError("observation payload must be non-empty")
     if not path_segments or any(not s for s in path_segments):
         raise ValueError("path segments must be non-empty strings")
     options = [(OPT_URI_PATH, seg.encode("utf-8")) for seg in path_segments]
-    options.append((OPT_CONTENT_FORMAT, bytes([config.content_format])))
-    return CoapMessage(
-        msg_type=config.msg_type,
-        code=METHOD_POST,
-        message_id=config.message_id,
-        token=config.token,
-        options=options,
-        payload=payload,
-    )
+    options.append((OPT_CONTENT_FORMAT, bytes([CF_JSON])))
+    return CoapMessage(msg_type, METHOD_POST, message_id, token, options, payload)
 
 
 def match_response(request: CoapMessage, response: CoapMessage) -> bool:

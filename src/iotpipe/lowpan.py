@@ -149,7 +149,6 @@ class CompressionContext:
 
     link_src: bytes = b""      # sender's 802.15.4 address
     link_dst: bytes = b""
-    elide_checksum: bool = False
 
 
 @dataclass
@@ -191,7 +190,11 @@ def _addr_mode(addr: bytes, link_addr: bytes):
 
 
 def compress(headers: Ipv6UdpHeaders, context: CompressionContext) -> CompressedHeaders:
-    """IPHC + UDP NHC compression, stateless (no prefix contexts)."""
+    """IPHC + UDP NHC compression, stateless (no prefix contexts).
+
+    The UDP checksum is always carried inline: RFC 6282 section 4.3.2 lets
+    it be elided only where an upper layer covers the same data.
+    """
     if headers.next_header != UDP_PROTO:
         raise UnsupportedHeaderChain(
             "only UDP next-header supported, got %d" % headers.next_header
@@ -261,10 +264,8 @@ def compress(headers: Ipv6UdpHeaders, context: CompressionContext) -> Compressed
         udp_inline += sp.to_bytes(2, "big")
         udp_inline += dp.to_bytes(2, "big")
 
-    c = 1 if context.elide_checksum else 0
-    if not context.elide_checksum:
-        udp_inline += headers.udp_checksum.to_bytes(2, "big")
-    nhc = 0xF0 | (c << 2) | ports
+    udp_inline += headers.udp_checksum.to_bytes(2, "big")
+    nhc = 0xF0 | ports  # C=0
 
     return CompressedHeaders(
         iphc_bytes=bytes([byte0, byte1]),
@@ -471,8 +472,7 @@ class Reassembler:
     dropped silently and counted.
     """
 
-    def __init__(self, timeout: float = REASSEMBLY_TIMEOUT):
-        self.timeout = timeout
+    def __init__(self):
         self._partial = {}
         self.expired_count = 0
 
@@ -514,7 +514,7 @@ class Reassembler:
         else:
             entry = None
         if entry is None:
-            entry = self._partial[key] = _PartialDatagram(size, now + self.timeout)
+            entry = self._partial[key] = _PartialDatagram(size, now + REASSEMBLY_TIMEOUT)
         entry.chunks[offset] = body
         entry.received += len(body)
         if entry.received < size:

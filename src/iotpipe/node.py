@@ -82,35 +82,26 @@ class Node:
         return bytes(self._token_rng.randrange(256) for _ in range(TOKEN_LENGTH))
 
     def _build_request(self, payload: bytes) -> coap.CoapMessage:
-        rel = self.config.reliability
-        cfg = coap.RequestConfig(
-            msg_type=coap.MsgType.CON if rel.confirmable else coap.MsgType.NON,
-            token=self._next_token(),
-            message_id=self._mid.take(),
-        )
-        return coap.build_observation_request(OBSERVATION_PATH, payload, cfg)
-
-    def _poll_once(self, request, pump):
-        now = self.clock.now()
-        if pump is not None:
-            pump(now)
-        for dgram in self.endpoint.receive(now):
-            try:
-                response = coap.decode(dgram.payload)
-            except coap.CoapError:
-                continue
-            if coap.match_response(request, response):
-                return response
-        return None
+        return coap.build_observation_request(
+            OBSERVATION_PATH, payload,
+            msg_type=coap.MsgType.CON if self.config.reliability.confirmable else coap.MsgType.NON,
+            token=self._next_token(), message_id=self._mid.take())
 
     def _await_response(self, request, deadline, pump):
         """Poll now, then again at each moment something can happen: when the
-        next frame on this node's link is due, or at the deadline."""
+        next frame on this node's link is due, or at the deadline. A deadline
+        of now polls once."""
         while True:
-            response = self._poll_once(request, pump)
-            if response is not None:
-                return response
             now = self.clock.now()
+            if pump is not None:
+                pump(now)
+            for dgram in self.endpoint.receive(now):
+                try:
+                    response = coap.decode(dgram.payload)
+                except coap.CoapError:
+                    continue
+                if coap.match_response(request, response):
+                    return response
             if now >= deadline:
                 return None
             due = self.endpoint.link.next_due()
@@ -127,23 +118,18 @@ class Node:
 
         attempts = 0
         response = None
-        timeout = ACK_TIMEOUT
-        tx = None
+        # A NON request waits with a zero timeout: it polls once, as the
+        # in-process gateway answers synchronously through the pump.
+        timeout = ACK_TIMEOUT if rel.confirmable else 0.0
         max_attempts = 1 + (rel.max_retransmit if rel.confirmable else 0)
         while attempts < max_attempts:
             now = self.clock.now()
             tx = self.endpoint.send(encoded, now=now)
             attempts += 1
-            if rel.confirmable:
-                response = self._await_response(request, now + timeout, pump)
-                if response is not None:
-                    break
-                timeout *= 2
-            else:
-                # Non-confirmable: the in-process gateway answers synchronously
-                # through the pump; no retransmission timer.
-                response = self._poll_once(request, pump)
+            response = self._await_response(request, now + timeout, pump)
+            if response is not None:
                 break
+            timeout *= 2
 
         if response is not None and response.code[0] == 2:
             outcome = "acked"

@@ -52,6 +52,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     server = None
     store = None
+    stored_before = 0
     if config.backend_url is None:
         journal = config.journal_path
         if journal is None and config.artifacts_dir:
@@ -62,6 +63,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         base_url = server.base_url
     else:
         base_url = config.backend_url
+        stored_before = _observation_count(base_url)
 
     metrics_log = None
     if config.artifacts_dir:
@@ -124,10 +126,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         stored = store.count("Observations")
         store.close()
     else:
-        session = gw.HttpSession()  # closes itself if the request fails
-        resp = session.request("GET", base_url + "/Observations?$top=0", timeout=5.0)
-        session.close()
-        stored = json.loads(resp.content)["@iot.count"]
+        stored = _observation_count(base_url) - stored_before
 
     summary = {
         "sent": sent,
@@ -152,6 +151,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     if config.artifacts_dir:
         _write_artifacts(config, result)
     return result
+
+
+def _observation_count(base_url: str) -> int:
+    """The number of observations the backend at ``base_url`` holds."""
+    session = gw.HttpSession()  # closes itself if the request fails
+    resp = session.request("GET", base_url + "/Observations?$top=0", timeout=5.0)
+    session.close()
+    return json.loads(resp.content)["@iot.count"]
 
 
 # Drop counters of each gateway's link-side endpoint, reported beside its metrics.

@@ -256,19 +256,17 @@ class Store:
 
     # -- observations ------------------------------------------------------
 
-    def ingest_observation(self, datastream_id, body, receipt_time: float,
-                           _journal=True) -> int:
+    def ingest_observation(self, datastream_id, body, receipt_time: float) -> int:
         """Store one observation; server assigns times when omitted."""
         receipt_iso = format_time(receipt_time)
         with self._lock:
             new_id = self._ingest(datastream_id, body, receipt_iso)
-            if _journal:
-                self._journal({
-                    "op": "observation",
-                    "datastream_id": datastream_id,
-                    "body": body,
-                    "time": receipt_iso,
-                })
+            self._journal({
+                "op": "observation",
+                "datastream_id": datastream_id,
+                "body": body,
+                "time": receipt_iso,
+            })
             return new_id
 
     def _ingest(self, datastream_id, body, receipt_iso: str) -> int:
@@ -399,8 +397,7 @@ class Store:
 # -- requests ---------------------------------------------------------------
 
 
-def respond(store: Store, method: str, target: str, body: bytes, now: float,
-            root: str = ROOT):
+def respond(store: Store, method: str, target: str, body: bytes, now: float):
     """Answer one request: (status, JSON object, Location or None).
 
     ``target`` is the request path with its query; ``now`` stamps the receipt
@@ -416,13 +413,13 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float,
             except (ValueError, RecursionError):  # RecursionError: nested too deep
                 raise MalformedBody("request body is not valid JSON")
         path, _, query = target.partition("?")
-        if path != root and not path.startswith(root + "/"):
-            raise BadPath("paths are rooted at %s" % root)
-        path = path[len(root):].strip("/")
+        if path != ROOT and not path.startswith(ROOT + "/"):
+            raise BadPath("paths are rooted at %s" % ROOT)
+        path = path[len(ROOT):].strip("/")
         if method == "GET":
             if not path:
                 return 200, {"value": [
-                    {"name": kind, "url": root + "/" + kind} for kind in KINDS
+                    {"name": kind, "url": ROOT + "/" + kind} for kind in KINDS
                 ]}, None
             return 200, store.query(path, dict(parse_qsl(query, keep_blank_values=True))), None
         match = _PATH_RE.match(path)
@@ -445,7 +442,7 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float,
         else:
             new_id = store.create_entity(kind, body)
         return (201, store.query("%s(%d)" % (kind, new_id)),
-                "%s/%s(%d)" % (root, kind, new_id))
+                "%s/%s(%d)" % (ROOT, kind, new_id))
     except StError as exc:
         return exc.status, {"error": str(exc)}, None
 
@@ -537,7 +534,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     timeout = None              # idle seconds before the connection is dropped
     disable_nagle_algorithm = True
-    store = root = None         # set per server
+    store = None                # set per server
 
     def handle(self):
         try:
@@ -557,7 +554,7 @@ class _Handler(socketserver.StreamRequestHandler):
         except _Refused as exc:
             self._reply(now, exc.status, {"error": str(exc)}, None, keep_alive=False)
             return False
-        status, obj, location = respond(self.store, method, target, body, now, self.root)
+        status, obj, location = respond(self.store, method, target, body, now)
         self._reply(now, status, obj, location, keep_alive, with_body=method != "HEAD")
         return keep_alive
 
@@ -622,11 +619,9 @@ class BackendServer:
 
     POLL_INTERVAL = 0.05  # s between serve_forever's shutdown checks; bounds stop()
 
-    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0,
-                 root: str = ROOT):
+    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         self.store = store
-        self.root = "/" + root.strip("/")
-        handler = type("Handler", (_Handler,), {"store": store, "root": self.root})
+        handler = type("Handler", (_Handler,), {"store": store})
         self._httpd = _Server((host, port), handler)
         self._thread = None
 
@@ -636,9 +631,7 @@ class BackendServer:
 
     @property
     def base_url(self) -> str:
-        return "http://%s:%d%s" % (
-            self._httpd.server_address[0], self.port, self.root
-        )
+        return "http://%s:%d%s" % (self._httpd.server_address[0], self.port, ROOT)
 
     def start(self):
         self._thread = threading.Thread(target=self._httpd.serve_forever,

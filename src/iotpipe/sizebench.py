@@ -75,20 +75,6 @@ LINK_PROFILE = "calibrated"
 
 
 @dataclass
-class CanonicalTemplates:
-    """Everything needed to measure one observation message on each stack."""
-
-    coap_path: tuple = CALIBRATED_COAP_PATH
-
-    @property
-    def calibrated_coap_path(self) -> bool:
-        return self.coap_path == CALIBRATED_COAP_PATH
-
-    def with_path(self, segments):
-        return CanonicalTemplates(coap_path=tuple(segments))
-
-
-@dataclass
 class SizeBreakdown:
     variant: str
     payload_bytes: int
@@ -114,10 +100,9 @@ class SizeBreakdown:
 
 
 def measure(variant: str, payload: bytes,
-            templates: CanonicalTemplates = None) -> SizeBreakdown:
-    """Byte breakdown of one observation message on one stack variant."""
-    if templates is None:
-        templates = CanonicalTemplates()
+            coap_path: tuple = CALIBRATED_COAP_PATH) -> SizeBreakdown:
+    """Byte breakdown of one observation message on one stack variant; the
+    CoAP variants POST to the path segments ``coap_path``."""
     if variant in (HTTP_IPV6_VARIANT, "HTTP_TCP_IPV4_ETH"):
         header = http_header_block(len(payload))
         ipv6 = variant == HTTP_IPV6_VARIANT
@@ -141,7 +126,7 @@ def measure(variant: str, payload: bytes,
 
     # One application message serves both CoAP variants: header compression
     # is applied below the application and must not change these bytes.
-    msg = coap.build_observation_request(list(templates.coap_path), payload)
+    msg = coap.build_observation_request(list(coap_path), payload)
     encoded = coap.encode(msg)
     app_header = len(encoded) - len(payload)
     cfg = stack.node_stack_config(profile=LINK_PROFILE)
@@ -263,11 +248,9 @@ def compare(breakdowns: list, targets: dict = None,
 
 
 def run_default_bench(payload: bytes = b'{"result":2143}',
-                      templates: CanonicalTemplates = None) -> ComparisonReport:
-    if templates is None:
-        templates = CanonicalTemplates()
-    breakdowns = [measure(v, payload, templates) for v in VARIANTS]
-    return compare(breakdowns, calibrated_path=templates.calibrated_coap_path)
+                      coap_path: tuple = CALIBRATED_COAP_PATH) -> ComparisonReport:
+    breakdowns = [measure(v, payload, coap_path) for v in VARIANTS]
+    return compare(breakdowns, calibrated_path=tuple(coap_path) == CALIBRATED_COAP_PATH)
 
 
 def emit_report(report: ComparisonReport, fmt: str = "table") -> str:
@@ -303,7 +286,7 @@ def _emit_json(report: ComparisonReport) -> str:
                 "name": c.name,
                 "expected": c.expected,
                 "actual": c.actual,
-                "status": _check_status(c, report),
+                "status": _check_status(c),
             }
             for c in report.checks
         ],
@@ -312,7 +295,7 @@ def _emit_json(report: ComparisonReport) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_status(check: TargetCheck, report: ComparisonReport) -> str:
+def _check_status(check: TargetCheck) -> str:
     if check.passed:
         return "pass"
     if check.informational:
@@ -349,7 +332,7 @@ def _emit_table(report: ComparisonReport) -> str:
     ))
     for c in report.checks:
         lines.append("  %-28s expected %-8s actual %-8s %s" % (
-            c.name, c.expected, c.actual, _check_status(c, report)
+            c.name, c.expected, c.actual, _check_status(c)
         ))
     lines.append("")
     lines.append(

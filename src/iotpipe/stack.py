@@ -49,16 +49,7 @@ def node_stack_config(compress: bool = True, profile: str = "calibrated") -> Sta
 
 
 def gateway_stack_config(compress: bool = True, profile: str = "calibrated") -> StackConfig:
-    return StackConfig(
-        local_link_addr=GATEWAY_LINK_ADDR,
-        peer_link_addr=NODE_LINK_ADDR,
-        local_ipv6=GATEWAY_IPV6,
-        peer_ipv6=NODE_IPV6,
-        local_port=GATEWAY_PORT,
-        peer_port=NODE_PORT,
-        profile=profile,
-        compress=compress,
-    )
+    return peer_config(node_stack_config(compress, profile))
 
 
 def udp_headers(cfg: StackConfig, payload: bytes) -> lowpan.Ipv6UdpHeaders:
@@ -187,7 +178,6 @@ _flow = functools.cache(_Flow)  # one set of templates per config
 
 @dataclass
 class TransmitRecord:
-    payload_bytes: int
     net_transport_bytes: int
     link_overhead_bytes: int
     frame_sizes: list
@@ -251,7 +241,6 @@ class StackEndpoint:
             delivered = delivered and outcome.delivered
 
         return TransmitRecord(
-            payload_bytes=len(payload),
             net_transport_bytes=len(header_bytes),
             link_overhead_bytes=self.link_overhead * len(frame_sizes),
             frame_sizes=frame_sizes,

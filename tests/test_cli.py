@@ -96,9 +96,26 @@ def test_serve_and_replay_run_until_interrupted(capsys, monkeypatch, tmp_path):
     assert "Datastreams=1" in out and "serving recovered store at http://" in out
 
 
-def test_pipeline_bad_config_exits_2(capsys):
+def test_pipeline_bad_config_exits_2(capsys, tmp_path):
     assert cli.main(["pipeline", "--count", "0"]) == 2
     assert cli.main(["pipeline", "--loss", "1.5"]) == 2
+    assert cli.main(["pipeline", "--mode", "CON", "--max-retransmit", "-1"]) == 2
+    assert cli.main(["pipeline", "-o", "nodes=abc"]) == 2
+    assert cli.main(["pipeline", "-o", "mode=5"]) == 2
+    assert cli.main(["pipeline", "-o", "backend_url=5"]) == 2
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    assert cli.main(["pipeline", "--config", str(array)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_runs_sharing_an_external_backend_each_count_their_own_rows(backend):
+    for _ in range(2):
+        result = run_pipeline(PipelineConfig(observations_per_node=5,
+                                             backend_url=backend.base_url))
+        assert result.sent == result.stored == 5
+        assert result.conserved
+    assert backend.store.count("Observations") == 10
 
 
 def test_report_from_artifacts(capsys, tmp_path):

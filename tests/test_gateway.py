@@ -95,7 +95,7 @@ def test_response_body_and_media_type_preserved():
 def test_con_request_gets_ack_response(build_pair):
     request = coap.build_observation_request(
         ["Observations"], PAYLOAD,
-        coap.RequestConfig(msg_type=coap.MsgType.CON, token=b"\x05\x06", message_id=44),
+        msg_type=coap.MsgType.CON, token=b"\x05\x06", message_id=44,
     )
     resp = gateway.HttpReply(201, {}, b"")
     out = gateway.translate_response(resp, request, UPSTREAM)
@@ -141,7 +141,7 @@ def test_get_reply_keeps_its_body():
 def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
     request = coap.build_observation_request(
         ["Observations"], PAYLOAD,
-        coap.RequestConfig(msg_type=coap.MsgType.CON, token=bytes(8), message_id=9))
+        msg_type=coap.MsgType.CON, token=bytes(8), message_id=9)
     resp = gateway.HttpReply(201, {"location": "/v1.0/Observations(9999999)"}, b"{}")
     reply = coap.encode(gateway.translate_response(resp, request, UPSTREAM))
     link = link154.SimulatedLink()
@@ -231,7 +231,7 @@ def test_retransmission_deduplicated(backend, build_pair):
     node_ep, gw = build_pair(backend.base_url)
     request = coap.build_observation_request(
         ["Observations"], PAYLOAD,
-        coap.RequestConfig(msg_type=coap.MsgType.CON, token=b"\x09\x0a", message_id=5),
+        msg_type=coap.MsgType.CON, token=b"\x09\x0a", message_id=5,
     )
     encoded = coap.encode(request)
     node_ep.send(encoded, now=0.0)

@@ -217,17 +217,16 @@ def test_overlapping_fragments_never_yield_wrong_bytes(size, cuts, budget):
 
 
 def test_elided_checksum_recomputed():
-    ctx = lowpan.CompressionContext(
-        link_src=NODE_LINK, link_dst=GW_LINK, elide_checksum=True
-    )
     payload = b'{"result":2143}'
     h = make_headers(
         lowpan.link_local_from(NODE_LINK), lowpan.link_local_from(GW_LINK),
         payload=payload,
     )
-    c = lowpan.compress(h, ctx)
-    assert c.size == 4  # checksum gone
-    assert lowpan.parse_datagram(c.to_bytes() + payload, ctx) == (h, payload)
+    c = lowpan.compress(h, CTX)
+    # C=1 in the NHC byte, and the 2 inline checksum bytes left out
+    elided = c.iphc_bytes + c.ip_inline + bytes([c.nhc_bytes[0] | 0x04]) + c.udp_inline[:-2]
+    assert len(elided) == 4
+    assert lowpan.parse_datagram(elided + payload, CTX) == (h, payload)
 
 
 def test_context_missing():
@@ -395,7 +394,7 @@ def test_interleaved_tags_reassemble_independently():
 
 def test_reassembly_timeout_drops_partials():
     fset = lowpan.fragment(b"z" * 200, 90, tag=3)
-    r = lowpan.Reassembler(timeout=5.0)
+    r = lowpan.Reassembler()
     r.push(b"\x01", fset.wire_fragments()[0], now=0.0)
     # a late fragment after expiry starts a fresh partial set
     assert r.push(b"\x01", fset.wire_fragments()[1], now=10.0) is None

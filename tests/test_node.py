@@ -68,15 +68,16 @@ def test_send_record_json_round_trips():
     assert bytes.fromhex(loaded["payload_hex"]) == b'{"result":2143}'
 
 
-# -- the confirmable wait ------------------------------------------------------
+# -- the wait for a reply ------------------------------------------------------
 
 CON = node.NodeConfig(reliability=node.Reliability(confirmable=True))
 
 
-def con_exchange_rig(link_config):
-    """A CON node and a gateway on one link, the gateway answering from an
-    in-process store on the node's clock. Returns the node, the gateway, the
-    store, the pump to pass the node and the list of times it was called."""
+def exchange_rig(link_config, config=CON):
+    """A node (CON unless ``config`` says otherwise) and a gateway on one
+    link, the gateway answering from an in-process store on the node's
+    clock. Returns the node, the gateway, the store, the pump to pass the
+    node and the list of times it was called."""
     clock = VirtualClock(100.0)
     link = link154.SimulatedLink(link_config)
     store = sensorthings.Store()
@@ -86,7 +87,7 @@ def con_exchange_rig(link_config):
         gateway.UpstreamConfig(base_url="http://sim/v1.0"),
         session=gateway.StoreSession(store, clock),
     )
-    sensor = node.Node(CON, stack.StackEndpoint(link.endpoints[0], stack.node_stack_config()),
+    sensor = node.Node(config, stack.StackEndpoint(link.endpoints[0], stack.node_stack_config()),
                        clock)
     pumps = []
 
@@ -97,9 +98,30 @@ def con_exchange_rig(link_config):
     return sensor, gw, store, pump, pumps
 
 
+def test_non_send_pumps_once_at_its_send_time():
+    sensor, _gw, store, pump, pumps = exchange_rig(link154.LinkConfig(), node.NodeConfig())
+    t0 = sensor.clock.now()
+    record = sensor.send_observation(pump=pump)
+    assert (record.outcome, record.response_code, record.attempts) == ("acked", "2.01", 1)
+    assert pumps == [t0]
+    assert sensor.clock.now() == record.time == t0
+    assert store.count("Observations") == 1
+
+
+def test_lost_non_request_fails_after_one_attempt_and_one_pump():
+    sensor, _gw, store, pump, pumps = exchange_rig(link154.LinkConfig(loss_probability=1.0),
+                                                   node.NodeConfig())
+    t0 = sensor.clock.now()
+    record = sensor.send_observation(pump=pump)
+    assert (record.outcome, record.attempts) == ("failed", 1)
+    assert pumps == [t0]
+    assert sensor.clock.now() == t0
+    assert store.count("Observations") == 0
+
+
 def test_con_wait_pumps_at_most_twice_per_attempt():
     # One poll after each send and one at its deadline.
-    sensor, _gw, _store, pump, pumps = con_exchange_rig(
+    sensor, _gw, _store, pump, pumps = exchange_rig(
         link154.LinkConfig(loss_probability=0.3, seed=4))
     for _ in range(200):
         sensor.clock.sleep(10.0)
@@ -111,7 +133,7 @@ def test_con_wait_pumps_at_most_twice_per_attempt():
 
 
 def test_con_wait_wakes_for_each_frame_in_flight():
-    sensor, _gw, store, pump, pumps = con_exchange_rig(link154.LinkConfig(latency=0.3))
+    sensor, _gw, store, pump, pumps = exchange_rig(link154.LinkConfig(latency=0.3))
     t0 = sensor.clock.now()
     record = sensor.send_observation(pump=pump)
     assert record.outcome == "acked" and record.attempts == 1
@@ -123,7 +145,7 @@ def test_con_wait_wakes_for_each_frame_in_flight():
 def test_reply_slower_than_the_ack_timeout_acks_the_retransmitted_exchange():
     # A 3-s round trip: the retransmission at t0 + 2 s is still in flight
     # when the reply to the first send arrives at t0 + 3 s.
-    sensor, gw, store, pump, _pumps = con_exchange_rig(link154.LinkConfig(latency=1.5))
+    sensor, gw, store, pump, _pumps = exchange_rig(link154.LinkConfig(latency=1.5))
     t0 = sensor.clock.now()
     first = sensor.send_observation(pump=pump)
     assert first.outcome == "acked" and first.attempts == 2

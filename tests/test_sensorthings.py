@@ -288,7 +288,7 @@ def _request(backend, method, target, length=None):
     """(status, body) of one request whose Content-Length header is sent verbatim."""
     conn = http.client.HTTPConnection("127.0.0.1", backend.port, timeout=5)
     try:
-        conn.putrequest(method, backend.root + target)
+        conn.putrequest(method, sensorthings.ROOT + target)
         if length is not None:
             conn.putheader("Content-Length", length)
         conn.endheaders()
@@ -323,15 +323,15 @@ def _on_one_connection(backend, requests):
 def test_rejected_post_path_keeps_the_connection_in_step(backend):
     replies = _on_one_connection(backend, [
         ("POST", "/wrong/Observations", b'{"result":1}'),
-        ("GET", backend.root + "/Observations?$top=0", None),
+        ("GET", sensorthings.ROOT + "/Observations?$top=0", None),
     ])
     assert [status for status, _, _ in replies] == [400, 200]
 
 
 def test_get_with_a_body_keeps_the_connection_in_step(backend):
     replies = _on_one_connection(backend, [
-        ("GET", backend.root + "/Things(1)", b'{"ignored":1}'),
-        ("GET", backend.root + "/Things(1)", None),
+        ("GET", sensorthings.ROOT + "/Things(1)", b'{"ignored":1}'),
+        ("GET", sensorthings.ROOT + "/Things(1)", None),
     ])
     assert [status for status, _, _ in replies] == [200, 200]
 
@@ -339,8 +339,8 @@ def test_get_with_a_body_keeps_the_connection_in_step(backend):
 @pytest.mark.parametrize("method", ["PUT", "DELETE"])
 def test_other_methods_are_405_with_a_json_error(backend, method):
     replies = _on_one_connection(backend, [
-        (method, backend.root + "/Things(1)", b"{}"),
-        ("GET", backend.root + "/Things(1)", None),
+        (method, sensorthings.ROOT + "/Things(1)", b"{}"),
+        ("GET", sensorthings.ROOT + "/Things(1)", None),
     ])
     (status, headers, body), (follow_up, _, _) = replies
     assert (status, follow_up) == (405, 200)
@@ -350,8 +350,8 @@ def test_other_methods_are_405_with_a_json_error(backend, method):
 
 def test_head_is_answered_without_a_body(backend):
     replies = _on_one_connection(backend, [
-        ("HEAD", backend.root + "/Things(1)", None),
-        ("GET", backend.root + "/Things(1)", None),
+        ("HEAD", sensorthings.ROOT + "/Things(1)", None),
+        ("GET", sensorthings.ROOT + "/Things(1)", None),
     ])
     assert [(status, body == b"") for status, _, body in replies] == [(405, True), (200, False)]
 
@@ -426,9 +426,9 @@ def test_overlong_entity_ids_are_404(seeded_store):
 
 def test_overlong_entity_id_keeps_the_connection_serving(backend):
     replies = _on_one_connection(backend, [
-        ("POST", "%s/Datastreams(%s)/Observations" % (backend.root, LONG_ID), b'{"result":1}'),
-        ("GET", "%s/Things(%s)" % (backend.root, LONG_ID), None),
-        ("GET", backend.root + "/Things(1)", None),
+        ("POST", "%s/Datastreams(%s)/Observations" % (sensorthings.ROOT, LONG_ID), b'{"result":1}'),
+        ("GET", "%s/Things(%s)" % (sensorthings.ROOT, LONG_ID), None),
+        ("GET", sensorthings.ROOT + "/Things(1)", None),
     ])
     assert [status for status, _, _ in replies] == [404, 404, 200]
 

@@ -92,11 +92,9 @@ def test_compare_rejects_payload_mismatch():
 
 
 def test_non_calibrated_path_is_informational():
-    templates = sizebench.CanonicalTemplates().with_path(
-        ("v1.0", "Datastreams(1)", "Observations")
-    )
+    coap_path = ("v1.0", "Datastreams(1)", "Observations")
     breakdowns = [
-        sizebench.measure(v, PAYLOAD, templates) for v in sizebench.VARIANTS
+        sizebench.measure(v, PAYLOAD, coap_path) for v in sizebench.VARIANTS
     ]
     report = sizebench.compare(breakdowns, calibrated_path=False)
     coap_app = [c for c in report.checks if c.name == "app_header[COAP_6LOWPAN_154]"]
