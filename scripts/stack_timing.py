@@ -5,7 +5,11 @@ Prints the median µs of one ``StackEndpoint.send`` plus the peer's
 ``receive`` at 15, 300 and 1377 B of payload for each frame profile, and of
 one NON observation exchange (node, gateway, ``StoreSession``, in-memory
 store) on the virtual clock. Each figure is the median over ``--repeat``
-rounds of the mean of ``--number`` calls.
+rounds of the mean of ``--number`` calls. Last, it prints the µs of the
+newest 100-row page of ``Datastreams(1)/Observations`` read through
+``sensorthings.respond`` at 2k and 50k stored rows: cold (the median first
+read of each of the 20 newest pages, whose entities were never rendered)
+and warm (the same page read again). Both should be flat in store size.
 
     python3 scripts/stack_timing.py [--repeat 7] [--number 300]
 
@@ -25,6 +29,7 @@ from iotpipe import gateway, link154, node, sensorthings, stack  # noqa: E402
 from iotpipe.clock import VirtualClock  # noqa: E402
 
 SIZES = (15, 300, 1377)
+PAGE_ROWS = (2_000, 50_000)
 
 
 def median_us(step, repeat: int, number: int) -> float:
@@ -69,6 +74,26 @@ def exchange_step():
     return step
 
 
+def page_timing(rows: int, repeat: int, number: int):
+    """(cold, warm) µs of a 100-row page read at ``rows`` stored observations."""
+    store = sensorthings.Store()
+    sensorthings.seed_default_entities(store)
+    for i in range(rows):
+        store.ingest_observation(1, {"result": i}, receipt_time=float(i))
+
+    def read(skip):
+        status, _, _ = sensorthings.respond(
+            store, "GET", "/v1.0/Datastreams(1)/Observations?$top=100&$skip=%d" % skip, b"", 0.0)
+        assert status == 200
+
+    cold = []
+    for page in range(1, 21):
+        t0 = time.perf_counter()
+        read(rows - 100 * page)
+        cold.append((time.perf_counter() - t0) * 1e6)
+    return statistics.median(cold), median_us(lambda: read(rows - 100), repeat, number)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed rounds per figure")
@@ -84,6 +109,10 @@ def main(argv=None) -> int:
             print("  %-10s %5d B %19s %10.1f" % (profile, size, "", us))
     us = median_us(exchange_step(), args.repeat, args.number)
     print("%-36s %10.1f" % ("NON exchange through StoreSession", us))
+    print("%-36s %10s %10s" % ("100-row page through respond", "cold µs", "warm µs"))
+    for rows in PAGE_ROWS:
+        cold, warm = page_timing(rows, args.repeat, args.number)
+        print("  %6d rows %33.1f %10.1f" % (rows, cold, warm))
     return 0
 
 

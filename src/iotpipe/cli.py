@@ -65,7 +65,7 @@ def cmd_pipeline(args) -> int:
                 seed=int(file_cfg.get("seed", args.seed)),
                 confirmable=mode == "CON",
                 max_retransmit=int(file_cfg.get("max_retransmit", args.max_retransmit)),
-                compress=bool(file_cfg.get("compress", not args.no_compress)),
+                compress=file_cfg.get("compress", not args.no_compress),
                 backend_url=file_cfg.get("backend_url", args.backend_url),
                 artifacts_dir=args.artifacts,
             )
@@ -73,8 +73,6 @@ def cmd_pipeline(args) -> int:
             raise ConfigError("bad config value: %s" % exc)
         if cfg.nodes < 1 or cfg.observations_per_node < 1 or cfg.period <= 0:
             raise ConfigError("nodes/count must be >= 1 and period > 0")
-        if cfg.max_retransmit < 0:
-            raise ConfigError("max_retransmit must be >= 0")
         if cfg.backend_url is not None and not isinstance(cfg.backend_url, str):
             raise ConfigError("backend_url must be a string")
         if not 0 <= cfg.loss_probability <= 1:

@@ -334,10 +334,10 @@ class StoreSession:
         self.clock = clock
 
     def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
-        status, obj, location = sensorthings.respond(
+        status, text, location = sensorthings.respond(
             self.store, method, _target(urlsplit(url)), data or b"", self.clock.now())
         return HttpReply(status, {"content-type": "application/json", "location": location},
-                         json.dumps(obj).encode("utf-8"))
+                         text.encode("utf-8"))
 
     def close(self):
         pass

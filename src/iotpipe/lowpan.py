@@ -463,6 +463,7 @@ class _PartialDatagram:
     deadline: float
     chunks: dict = field(default_factory=dict)  # offset -> bytes; never overlapping
     received: int = 0
+    furthest: int = 0   # the end of the furthest buffered chunk
 
 
 class Reassembler:
@@ -507,16 +508,18 @@ class Reassembler:
         if entry is not None and entry.size == size:
             if entry.chunks.get(offset) == body:
                 return None  # duplicate
-            for start, chunk in entry.chunks.items():
-                if start == offset or (start < end and offset < start + len(chunk)):
-                    entry = None  # overlap: discard the buffer
-                    break
+            if offset < entry.furthest or offset in entry.chunks:  # else no chunk can overlap
+                for start, chunk in entry.chunks.items():
+                    if start == offset or (start < end and offset < start + len(chunk)):
+                        entry = None  # overlap: discard the buffer
+                        break
         else:
             entry = None
         if entry is None:
             entry = self._partial[key] = _PartialDatagram(size, now + REASSEMBLY_TIMEOUT)
         entry.chunks[offset] = body
         entry.received += len(body)
+        entry.furthest = max(entry.furthest, end)
         if entry.received < size:
             return None
         del self._partial[key]

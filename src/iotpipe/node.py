@@ -36,6 +36,11 @@ class Reliability:
     confirmable: bool = False
     max_retransmit: int = 4
 
+    def __post_init__(self):
+        if (not isinstance(self.max_retransmit, int) or isinstance(self.max_retransmit, bool)
+                or self.max_retransmit < 0):
+            raise ValueError("max_retransmit must be an int >= 0, not %r" % (self.max_retransmit,))
+
 
 @dataclass
 class NodeConfig:

@@ -28,6 +28,11 @@ class PipelineConfig:
     artifacts_dir: str = None
     journal_path: str = None
 
+    def __post_init__(self):
+        if not isinstance(self.compress, bool):
+            raise ValueError("compress must be true or false, not %r" % (self.compress,))
+        nodemod.Reliability(self.confirmable, self.max_retransmit)  # checks max_retransmit
+
 
 @dataclass
 class PipelineResult:

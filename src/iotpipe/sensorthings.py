@@ -61,18 +61,19 @@ KINDS = (
     "Observations",
 )
 
-# entity navigation: (kind, property) -> (target kind, back-link). A property
-# named after its target collection is plural. The store holds the linked ids
-# of a navigation without a back-link; one with a back-link is found by
-# scanning the target's back-link for the entity's id.
+# entity navigation: (kind, property) -> target kind. A property named after
+# its target collection is plural. The store holds the linked ids of every
+# navigation; Things/Datastreams and Datastreams/Observations list the ids of
+# the entities whose Thing or Datastream link names the owner, appended as
+# those entities are created.
 NAVIGATIONS = {
-    ("Things", "Locations"): ("Locations", None),
-    ("Things", "Datastreams"): ("Datastreams", "Thing"),
-    ("Datastreams", "Observations"): ("Observations", "Datastream"),
-    ("Datastreams", "Thing"): ("Things", None),
-    ("Datastreams", "Sensor"): ("Sensors", None),
-    ("Datastreams", "ObservedProperty"): ("ObservedProperties", None),
-    ("Observations", "Datastream"): ("Datastreams", None),
+    ("Things", "Locations"): "Locations",
+    ("Things", "Datastreams"): "Datastreams",
+    ("Datastreams", "Observations"): "Observations",
+    ("Datastreams", "Thing"): "Things",
+    ("Datastreams", "Sensor"): "Sensors",
+    ("Datastreams", "ObservedProperty"): "ObservedProperties",
+    ("Observations", "Datastream"): "Datastreams",
 }
 _NAV_NAMES = {kind: [nav for src, nav in NAVIGATIONS if src == kind] for kind in KINDS}
 
@@ -118,12 +119,15 @@ class Store:
     """In-memory entity store with an optional append-only journal.
 
     Mutations serialize through one lock; reads see consistent snapshots.
+    An entity never changes once created, so its JSON text is cached the
+    first time it is rendered, and a page is joined from cached texts.
     """
 
     def __init__(self, journal_path=None):
         self._entities = {kind: {} for kind in KINDS}  # kind -> id -> served fields
-        # (kind, navigation) -> id -> linked id (or id list), for stored links
-        self._links = {key: {} for key, (_target, back) in NAVIGATIONS.items() if back is None}
+        self._texts = {kind: {} for kind in KINDS}     # kind -> id -> rendered JSON text
+        # (kind, navigation) -> id -> linked id, or the ascending list of linked ids
+        self._links = {key: {} for key in NAVIGATIONS}
         self._lock = threading.RLock()
         self._journal_file = None
         self.journal_path = journal_path
@@ -189,7 +193,7 @@ class Store:
             "name": name,
             "description": body.get("description", ""),
             "properties": body.get("properties", {}),
-        }, Locations=[self._create_location(loc) for loc in locations])
+        }, Locations=[self._create_location(loc) for loc in locations], Datastreams=[])
 
     def _validate_location(self, body) -> list:
         """The [lon, lat] of a GeoJSON Point location, checked for range."""
@@ -236,7 +240,7 @@ class Store:
         uom = body.get("unitOfMeasurement", {})
         if not isinstance(uom, dict):
             raise ValidationError("unitOfMeasurement must be an object")
-        return self._add("Datastreams", {
+        new_id = self._add("Datastreams", {
             "name": name,
             "description": body.get("description", ""),
             "unitOfMeasurement": {
@@ -244,7 +248,9 @@ class Store:
                 "symbol": uom.get("symbol", ""),
                 "definition": uom.get("definition", ""),
             },
-        }, Thing=thing_id, Sensor=sensor_id, ObservedProperty=op_id)
+        }, Thing=thing_id, Sensor=sensor_id, ObservedProperty=op_id, Observations=[])
+        self._links[("Things", "Datastreams")][thing_id].append(new_id)
+        return new_id
 
     _creators = {
         "Things": _create_thing,
@@ -270,15 +276,19 @@ class Store:
             return new_id
 
     def _ingest(self, datastream_id, body, receipt_iso: str) -> int:
-        if datastream_id not in self._entities["Datastreams"]:
+        # a link posted as 1.0 finds the list of entity 1
+        listed = self._links[("Datastreams", "Observations")].get(datastream_id)
+        if listed is None:
             raise UnknownDatastream("no datastream %r" % datastream_id)
         if not isinstance(body, dict) or "result" not in body:
             raise MalformedBody("observation body must contain a result")
-        return self._add("Observations", {
+        new_id = self._add("Observations", {
             "result": body["result"],
             "phenomenonTime": body.get("phenomenonTime", receipt_iso),
             "resultTime": body.get("resultTime", receipt_iso),
         }, Datastream=datastream_id)
+        listed.append(new_id)
+        return new_id
 
     # -- queries -----------------------------------------------------------
 
@@ -290,13 +300,38 @@ class Store:
             out[nav + "@iot.navigationLink"] = "%s/%s" % (self_link, nav)
         return out
 
+    def _text(self, kind: str, ident: int) -> str:
+        # Unlocked: two readers may both render an entity, and both store
+        # the same text.
+        texts = self._texts[kind]
+        text = texts.get(ident)
+        if text is None:
+            text = texts[ident] = json.dumps(self._render(kind, ident))
+        return text
+
     def count(self, kind: str) -> int:
         return len(self._entities[kind])
 
     def query(self, path: str, params: dict = None):
-        """Resolve a navigation path: Collection, Collection(id), or
-        Collection(id)/Navigation, with $top/$skip pagination."""
-        params = params or {}
+        """The entity or page a path names, as a dict (see ``_resolve``)."""
+        kind, count, ids = self._resolve(path, params or {})
+        if count is None:
+            return self._render(kind, ids[0])
+        return {"@iot.count": count, "value": [self._render(kind, i) for i in ids]}
+
+    def read(self, path: str, params: dict = None) -> str:
+        """``json.dumps(self.query(path, params))``, joined from cached texts."""
+        kind, count, ids = self._resolve(path, params or {})
+        if count is None:
+            return self._text(kind, ids[0])
+        return '{"@iot.count": %d, "value": [%s]}' % (
+            count, ", ".join([self._text(kind, i) for i in ids]))
+
+    def _resolve(self, path: str, params: dict):
+        """(kind, count, ids) of a navigation path: Collection, Collection(id),
+        or Collection(id)/Navigation, with $top/$skip pagination. ``count`` is
+        the @iot.count of a collection and ``ids`` its page; for a single
+        entity ``count`` is None and ``ids`` holds its id."""
         match = _PATH_RE.match(path.strip("/"))
         if not match:
             raise BadPath("cannot parse path %r" % path)
@@ -307,37 +342,21 @@ class Store:
             if ident is None:
                 if nav is not None:
                     raise BadPath("navigation needs an entity id")
-                return self._collection(kind, list(self._entities[kind]), params)
+                # ids are dense: assigned from 1 up and never reused
+                return kind, *_page(range(1, len(self._entities[kind]) + 1), params)
             entity_id = _entity_id(ident, NotFound)
             if entity_id not in self._entities[kind]:
                 raise NotFound("%s(%s) does not exist" % (kind, ident))
             if nav is None:
-                return self._render(kind, entity_id)
+                return kind, None, (entity_id,)
             try:
-                target, back = NAVIGATIONS[(kind, nav)]
+                target = NAVIGATIONS[(kind, nav)]
             except KeyError:
                 raise BadPath("no navigation %s under %s" % (nav, kind))
-            if back is not None:
-                ids = [i for i, owner in self._links[(target, back)].items() if owner == entity_id]
-                return self._collection(target, ids, params)
             linked = self._links[(kind, nav)][entity_id]
             if nav == target:  # plural
-                return self._collection(target, linked, params)
-            return self._render(target, int(linked))  # a link posted as 1.0 names entity 1
-
-    def _collection(self, kind: str, ids: list, params: dict) -> dict:
-        # ids ascend: they are assigned in creation order, which dicts and lists keep
-        try:
-            top = int(params.get("$top", DEFAULT_TOP))
-            skip = int(params.get("$skip", 0))
-        except (TypeError, ValueError):
-            raise BadPath("$top/$skip must be integers")
-        if top < 0 or skip < 0:
-            raise BadPath("$top/$skip must not be negative")
-        return {
-            "@iot.count": len(ids),
-            "value": [self._render(kind, i) for i in ids[skip:skip + top]],
-        }
+                return target, *_page(linked, params)
+            return target, None, (int(linked),)  # a link posted as 1.0 names entity 1
 
     # -- persistence -------------------------------------------------------
 
@@ -394,19 +413,42 @@ class Store:
             raise CorruptJournal("unknown journal op %r" % op)
 
 
+def _page(ids, params: dict):
+    """(@iot.count, page) of the ascending ``ids`` under $top/$skip."""
+    try:
+        top = int(params.get("$top", DEFAULT_TOP))
+        skip = int(params.get("$skip", 0))
+    except (TypeError, ValueError):
+        raise BadPath("$top/$skip must be integers")
+    if top < 0 or skip < 0:
+        raise BadPath("$top/$skip must not be negative")
+    return len(ids), ids[skip:skip + top]
+
+
 # -- requests ---------------------------------------------------------------
 
 
+_ROOT_LISTING = json.dumps({"value": [{"name": kind, "url": ROOT + "/" + kind} for kind in KINDS]})
+
+
+def _error_json(message: str) -> str:
+    return json.dumps({"error": message})
+
+
 def respond(store: Store, method: str, target: str, body: bytes, now: float):
-    """Answer one request: (status, JSON object, Location or None).
+    """Answer one request: (status, JSON text of the reply body, Location or None).
 
     ``target`` is the request path with its query; ``now`` stamps the receipt
     time of an ingested observation. The HTTP handler and the gateway's
-    in-process session both answer through here.
+    in-process session both answer through here, and neither encodes JSON
+    itself. A GET body is ``json.dumps`` of what ``Store.query`` returns for
+    the path, but joined from cached entity texts, so a page costs O(page)
+    whatever the store's size. The 201 reply to a POST renders the new
+    entity, which fills its cache entry.
     """
     try:
         if method not in ("GET", "POST"):
-            return 405, {"error": "method %s not allowed" % method}, None
+            return 405, _error_json("method %s not allowed" % method), None
         if method == "POST":
             try:
                 body = json.loads(body)
@@ -418,10 +460,8 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float):
         path = path[len(ROOT):].strip("/")
         if method == "GET":
             if not path:
-                return 200, {"value": [
-                    {"name": kind, "url": ROOT + "/" + kind} for kind in KINDS
-                ]}, None
-            return 200, store.query(path, dict(parse_qsl(query, keep_blank_values=True))), None
+                return 200, _ROOT_LISTING, None
+            return 200, store.read(path, dict(parse_qsl(query, keep_blank_values=True))), None
         match = _PATH_RE.match(path)
         if not match:
             raise BadPath("cannot parse path %r" % path)
@@ -441,10 +481,10 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float):
             new_id = store.ingest_observation(ds_id, body, receipt_time=now)
         else:
             new_id = store.create_entity(kind, body)
-        return (201, store.query("%s(%d)" % (kind, new_id)),
+        return (201, store.read("%s(%d)" % (kind, new_id)),
                 "%s/%s(%d)" % (ROOT, kind, new_id))
     except StError as exc:
-        return exc.status, {"error": str(exc)}, None
+        return exc.status, _error_json(str(exc)), None
 
 
 # -- HTTP -------------------------------------------------------------------
@@ -552,10 +592,10 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             method, target, keep_alive, body = self._read_request(line)
         except _Refused as exc:
-            self._reply(now, exc.status, {"error": str(exc)}, None, keep_alive=False)
+            self._reply(now, exc.status, _error_json(str(exc)), None, keep_alive=False)
             return False
-        status, obj, location = respond(self.store, method, target, body, now)
-        self._reply(now, status, obj, location, keep_alive, with_body=method != "HEAD")
+        status, text, location = respond(self.store, method, target, body, now)
+        self._reply(now, status, text, location, keep_alive, with_body=method != "HEAD")
         return keep_alive
 
     def _read_request(self, line: bytes):
@@ -588,8 +628,8 @@ class _Handler(socketserver.StreamRequestHandler):
         return (method.decode("latin-1"), target.decode("latin-1"),
                 keeps_alive(version, fields), body)
 
-    def _reply(self, now, status, obj, location, keep_alive, with_body=True):
-        body = json.dumps(obj).encode("utf-8")
+    def _reply(self, now, status, text, location, keep_alive, with_body=True):
+        body = text.encode("utf-8")
         head = ("HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
                 "Content-Length: %d\r\nDate: %s\r\n") % (
             status, _REASONS.get(status, ""), len(body), self.server.http_date(now))

@@ -1,6 +1,8 @@
 import json
 import types
 
+import pytest
+
 from iotpipe import cli, node, sensorthings
 from iotpipe.pipeline import PipelineConfig, run_pipeline
 
@@ -107,6 +109,29 @@ def test_pipeline_bad_config_exits_2(capsys, tmp_path):
     array.write_text("[1, 2]")
     assert cli.main(["pipeline", "--config", str(array)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, True, "4"])
+def test_reliability_refuses_a_bad_max_retransmit(value):
+    with pytest.raises(ValueError):
+        node.Reliability(confirmable=True, max_retransmit=value)
+
+
+def test_pipeline_refuses_a_negative_max_retransmit(capsys):
+    with pytest.raises(ValueError):
+        run_pipeline(PipelineConfig(confirmable=True, max_retransmit=-1))
+    assert cli.main(["pipeline", "--mode", "CON", "-o", "max_retransmit=-1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_compress_takes_only_a_json_boolean(capsys, tmp_path):
+    for value in ("no", "0", "1", '"false"'):
+        assert cli.main(["pipeline", "--count", "1", "-o", "compress=" + value]) == 2
+    assert "compress must be true or false" in capsys.readouterr().err
+    assert cli.main(["pipeline", "--count", "1", "-o", "compress=false",
+                     "--artifacts", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "logs" / "sendrecords-node0.jsonl").read_text())
+    assert record["net_transport_bytes"] == 49
 
 
 def test_runs_sharing_an_external_backend_each_count_their_own_rows(backend):

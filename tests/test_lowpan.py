@@ -186,6 +186,17 @@ def test_overlap_at_another_offset_restarts_reassembly():
     assert r.push(b"s", frag(24, 0, datagram[:8])) == datagram
 
 
+def test_overlap_after_an_in_order_run_restarts_reassembly():
+    datagram = bytes(range(40))
+    r = lowpan.Reassembler()
+    for offset in (0, 16):                      # in order: no overlap scan runs
+        assert r.push(b"s", frag(40, offset, datagram[offset:offset + 16])) is None
+    # starts inside [0, 16), at no buffered offset: discards [0, 32)
+    assert r.push(b"s", frag(40, 8, datagram[8:32])) is None
+    assert r.push(b"s", frag(40, 32, datagram[32:])) is None
+    assert r.push(b"s", frag(40, 0, datagram[:8])) == datagram
+
+
 def test_fragment_past_the_datagram_end_is_rejected():
     datagram = bytes(range(24))
     r = lowpan.Reassembler()

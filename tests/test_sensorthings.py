@@ -3,11 +3,15 @@ import http.client
 import json
 import socket
 import struct
+import sys
+import tempfile
+import threading
 import time
 import warnings
 
 import pytest
 import requests
+from hypothesis import example, given, settings, strategies as st
 
 from iotpipe import sensorthings
 from tests.conftest import THING_BODY
@@ -114,6 +118,149 @@ def test_not_found_and_bad_path(seeded_store):
 def test_singular_navigation(seeded_store):
     assert seeded_store.query("Datastreams(1)/Thing")["name"] == "RIOT Alpha"
     assert seeded_store.query("Datastreams(1)/Sensor")["@iot.id"] == 1
+
+
+# -- page reads from the index and the text cache ---------------------------
+
+# (kind, Location count), (kind, Thing, link as 1.0), (kind, Datastream, route)
+# or a GET that fills the text cache
+STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("Things"), st.integers(0, 2)),
+    st.tuples(st.just("Datastreams"), st.integers(1, 3), st.booleans()),
+    st.tuples(st.just("Observations"), st.integers(1, 3), st.sampled_from(["alias", "1.0", "nav"])),
+    st.tuples(st.just("GET"), st.sampled_from(["Observations", "Datastreams(1)/Observations",
+                                               "Things(1)/Datastreams", "Datastreams(2)"])),
+), max_size=25)
+READ_PATHS = st.one_of(
+    st.sampled_from(sensorthings.KINDS),
+    st.builds("{}({})".format, st.sampled_from(sensorthings.KINDS), st.integers(1, 4)),
+    st.builds(lambda nav, i: "%s(%d)/%s" % (nav[0], i, nav[1]),
+              st.sampled_from(sorted(sensorthings.NAVIGATIONS)), st.integers(1, 4)),
+)
+PAGE_BOUND = st.one_of(st.none(), st.integers(0, 12))
+
+
+def _apply_op(store, op, now):
+    """Send one STORE_OPS entry through ``respond``; its 4xx replies are fine."""
+    kind, ref, *rest = op
+    if kind == "GET":
+        return sensorthings.respond(store, "GET", "/v1.0/" + ref, b"", now)
+    if kind == "Things":
+        location = {"name": "l", "location": {"type": "Point", "coordinates": [1, 2]}}
+        body, path = {"name": "t", "Locations": [location] * ref}, "/Things"
+    elif kind == "Datastreams":
+        body, path = {"name": "d", "Thing": {"@iot.id": float(ref) if rest[0] else ref},
+                      "Sensor": {"@iot.id": 1}, "ObservedProperty": {"@iot.id": 1}}, "/Datastreams"
+    elif rest[0] == "nav":
+        body, path = {"result": now}, "/Datastreams(%d)/Observations" % ref
+    else:
+        link = float(ref) if rest[0] == "1.0" else ref
+        body, path = {"result": now, "Datastream": {"@iot.id": link}}, "/Observations"
+    return sensorthings.respond(store, "POST", "/v1.0" + path, json.dumps(body).encode(), now)
+
+
+def _linked_ids(store, kind, nav):
+    """owner id -> ids of the ``kind`` entities whose ``nav`` link names it,
+    found by reading every entity's link on its own."""
+    owners = {}
+    for row in store.query(kind, {"$top": "1000"})["value"]:
+        owner = store.query("%s(%d)/%s" % (kind, row["@iot.id"], nav))["@iot.id"]
+        owners.setdefault(owner, []).append(row["@iot.id"])
+    return owners
+
+
+@settings(max_examples=60, deadline=None)
+@given(STORE_OPS, st.lists(st.tuples(READ_PATHS, PAGE_BOUND, PAGE_BOUND), max_size=12),
+       st.booleans())
+@example(ops=[("Datastreams", 1, True), ("Observations", 2, "1.0"), ("Observations", 1, "nav")],
+         reads=[("Things(1)/Datastreams", 0, None), ("Datastreams(2)/Observations", None, 5),
+                ("Observations", 1, 1), ("Things(1)/Datastreams", None, None)],
+         recover=True)
+def test_get_bodies_are_json_dumps_of_query(ops, reads, recover):
+    """The body ``respond`` joins from cached texts for a GET is byte for byte
+    ``json.dumps`` of ``Store.query``, on live and recovered stores, and a
+    back-navigation lists exactly the entities whose link names its owner."""
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = tmp + "/journal.jsonl"
+        store = sensorthings.Store(journal_path=journal)
+        sensorthings.seed_default_entities(store)
+        for i, op in enumerate(ops):
+            _apply_op(store, op, 1000.0 + i)
+        store.close()
+        live = store
+        if recover:
+            store = sensorthings.Store.recover(journal)
+            store.close()
+        for path, top, skip in reads + reads:        # the second pass reads warm texts
+            params = {k: str(v) for k, v in (("$top", top), ("$skip", skip)) if v is not None}
+            target = "/v1.0/%s?%s" % (path, "&".join("%s=%s" % item for item in params.items()))
+            reply = sensorthings.respond(store, "GET", target, b"", 0.0)
+            try:
+                expected = 200, json.dumps(store.query(path, params)), None
+            except sensorthings.StError as exc:
+                expected = exc.status, json.dumps({"error": str(exc)}), None
+            assert reply == expected
+            assert sensorthings.respond(live, "GET", target, b"", 0.0) == reply
+        for owner, kind, back in [("Things", "Datastreams", "Thing"),
+                                  ("Datastreams", "Observations", "Datastream")]:
+            linked = _linked_ids(store, kind, back)
+            for owner_id in range(1, store.count(owner) + 1):
+                page = store.query("%s(%d)/%s" % (owner, owner_id, kind), {"$top": "1000"})
+                assert [row["@iot.id"] for row in page["value"]] == linked.get(owner_id, [])
+                assert page["@iot.count"] == len(page["value"])
+
+
+def test_a_page_renders_each_entity_once(seeded_store, monkeypatch):
+    for i in range(20_000):
+        seeded_store.ingest_observation(1, {"result": i}, receipt_time=float(i))
+    rendered = []
+    render = sensorthings.Store._render
+
+    def counting(self, kind, ident):
+        rendered.append(ident)
+        return render(self, kind, ident)
+
+    monkeypatch.setattr(sensorthings.Store, "_render", counting)
+    target = "/v1.0/Datastreams(1)/Observations?$top=100&$skip=19900"
+    first = sensorthings.respond(seeded_store, "GET", target, b"", 0.0)
+    assert rendered == list(range(19_901, 20_001))
+    assert sensorthings.respond(seeded_store, "GET", target, b"", 0.0) == first
+    assert len(rendered) == 100
+    assert json.loads(first[1])["@iot.count"] == 20_000
+
+
+def test_concurrent_page_reads_during_ingest(seeded_store):
+    """Readers on several threads share the text cache while a writer
+    ingests; every page they get is the store's first rows, in order."""
+    errors = []
+
+    def reader():
+        try:
+            for _ in range(150):
+                status, text, _ = sensorthings.respond(
+                    seeded_store, "GET", "/v1.0/Datastreams(1)/Observations?$top=50",
+                    b"", 0.0)
+                page = json.loads(text)
+                ids = [row["@iot.id"] for row in page["value"]]
+                assert status == 200 and ids == list(range(1, min(50, page["@iot.count"]) + 1))
+        except Exception as exc:    # handed to the main thread, which fails the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for i in range(2000):
+            seeded_store.ingest_observation(1, {"result": i}, receipt_time=float(i))
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert seeded_store.read("Observations", {"$top": "2000"}) == \
+        json.dumps(seeded_store.query("Observations", {"$top": "2000"}))
 
 
 # -- persistence ------------------------------------------------------------
@@ -378,7 +525,7 @@ def test_http_deeply_nested_body_is_400(backend):
 ])
 def test_malformed_nested_values_are_400(seeded_store, path, body, error):
     reply = sensorthings.respond(seeded_store, "POST", "/v1.0" + path, body, 0.0)
-    assert reply == (400, {"error": error}, None)
+    assert reply == (400, json.dumps({"error": error}), None)
 
 
 def test_http_query_values_are_percent_decoded(backend, seeded_store):
