@@ -10,6 +10,10 @@ newest 100-row page of ``Datastreams(1)/Observations`` read through
 ``sensorthings.respond`` at 2k and 50k stored rows: cold (the median first
 read of each of the 20 newest pages, whose entities were never rendered)
 and warm (the same page read again). Both should be flat in store size.
+Then it prints the median ms of ``Store.recover`` over ``--repeat`` replays
+of a 2k-row and a 50k-row journal, each built like the benchmark's
+``read-mix`` base journal (the seed entities, then ``{"result": n}`` rows),
+and that median per record.
 
     python3 scripts/stack_timing.py [--repeat 7] [--number 300]
 
@@ -18,8 +22,10 @@ a second checkout can be timed the same way.
 """
 
 import argparse
+import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,6 +36,7 @@ from iotpipe.clock import VirtualClock  # noqa: E402
 
 SIZES = (15, 300, 1377)
 PAGE_ROWS = (2_000, 50_000)
+REPLAY_ROWS = (2_000, 50_000)
 
 
 def median_us(step, repeat: int, number: int) -> float:
@@ -94,6 +101,30 @@ def page_timing(rows: int, repeat: int, number: int):
     return statistics.median(cold), median_us(lambda: read(rows - 100), repeat, number)
 
 
+def replay_timing(rows: int, repeat: int):
+    """(median ms, µs per record) of ``Store.recover`` on a journal of the
+    seed entities and ``rows`` observations."""
+    rng = random.Random(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = tmp + "/journal.jsonl"
+        store = sensorthings.Store(journal_path=path)
+        sensorthings.seed_default_entities(store)
+        for i in range(rows):
+            store.ingest_observation(1, {"result": rng.randint(1000, 9999)},
+                                     receipt_time=1.5e9 + i)
+        store.close()
+        with open(path, "rb") as handle:
+            records = handle.read().count(b"\n")
+        rounds = []
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            store = sensorthings.Store.recover(path)
+            rounds.append(time.perf_counter() - t0)
+            store.close()
+    ms = statistics.median(rounds) * 1e3
+    return ms, ms * 1e3 / records
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed rounds per figure")
@@ -113,6 +144,10 @@ def main(argv=None) -> int:
     for rows in PAGE_ROWS:
         cold, warm = page_timing(rows, args.repeat, args.number)
         print("  %6d rows %33.1f %10.1f" % (rows, cold, warm))
+    print("%-36s %10s %10s" % ("Store.recover of a journal", "median ms", "µs/record"))
+    for rows in REPLAY_ROWS:
+        ms, us = replay_timing(rows, args.repeat)
+        print("  %6d rows %33.2f %10.2f" % (rows, ms, us))
     return 0
 
 

@@ -51,22 +51,31 @@ class ConfigError(Exception):
 
 
 def cmd_pipeline(args) -> int:
+    # config-file and -o keys, with the command-line values they override
+    values = {"mode": args.mode, "nodes": args.nodes, "count": args.count,
+              "period": args.period, "loss": args.loss, "seed": args.seed,
+              "max_retransmit": args.max_retransmit, "compress": not args.no_compress,
+              "backend_url": args.backend_url}
     try:
         file_cfg = _load_config(args.config, args.override)
-        mode = str(file_cfg.get("mode", args.mode)).upper()
+        unknown = sorted(set(file_cfg) - set(values))
+        if unknown:
+            raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+        values.update(file_cfg)
+        mode = str(values["mode"]).upper()
         if mode not in ("NON", "CON"):
             raise ConfigError("mode must be NON or CON")
         try:
             cfg = PipelineConfig(
-                nodes=int(file_cfg.get("nodes", args.nodes)),
-                observations_per_node=int(file_cfg.get("count", args.count)),
-                period=float(file_cfg.get("period", args.period)),
-                loss_probability=float(file_cfg.get("loss", args.loss)),
-                seed=int(file_cfg.get("seed", args.seed)),
+                nodes=values["nodes"],
+                observations_per_node=values["count"],
+                period=float(values["period"]),
+                loss_probability=float(values["loss"]),
+                seed=values["seed"],
                 confirmable=mode == "CON",
-                max_retransmit=int(file_cfg.get("max_retransmit", args.max_retransmit)),
-                compress=file_cfg.get("compress", not args.no_compress),
-                backend_url=file_cfg.get("backend_url", args.backend_url),
+                max_retransmit=values["max_retransmit"],
+                compress=values["compress"],
+                backend_url=values["backend_url"],
                 artifacts_dir=args.artifacts,
             )
         except (TypeError, ValueError) as exc:

@@ -29,6 +29,10 @@ class PipelineConfig:
     journal_path: str = None
 
     def __post_init__(self):
+        for name in ("nodes", "observations_per_node", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError("%s must be an int, not %r" % (name, value))
         if not isinstance(self.compress, bool):
             raise ValueError("compress must be true or false, not %r" % (self.compress,))
         nodemod.Reliability(self.confirmable, self.max_retransmit)  # checks max_retransmit

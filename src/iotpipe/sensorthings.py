@@ -10,6 +10,7 @@ reads and writes HTTP around it.
 import http.client
 import json
 import re
+import socket
 import socketserver
 import threading
 import time
@@ -110,7 +111,7 @@ def _link_id(body, key):
     ref = body.get(key)
     if not isinstance(ref, dict) or "@iot.id" not in ref:
         raise ValidationError("missing %s link" % key)
-    if not isinstance(ref["@iot.id"], (int, float)):
+    if not isinstance(ref["@iot.id"], (int, float)) or isinstance(ref["@iot.id"], bool):
         raise ValidationError("%s link id must be a number" % key)
     return ref["@iot.id"]
 
@@ -128,6 +129,10 @@ class Store:
         self._texts = {kind: {} for kind in KINDS}     # kind -> id -> rendered JSON text
         # (kind, navigation) -> id -> linked id, or the ascending list of linked ids
         self._links = {key: {} for key in NAVIGATIONS}
+        # what ``_ingest`` writes, bound once: it runs per POST and per replayed row
+        self._observations = self._entities["Observations"]
+        self._observation_datastream = self._links[("Observations", "Datastream")]
+        self._datastream_observations = self._links[("Datastreams", "Observations")]
         self._lock = threading.RLock()
         self._journal_file = None
         self.journal_path = journal_path
@@ -276,17 +281,22 @@ class Store:
             return new_id
 
     def _ingest(self, datastream_id, body, receipt_iso: str) -> int:
-        # a link posted as 1.0 finds the list of entity 1
-        listed = self._links[("Datastreams", "Observations")].get(datastream_id)
+        try:    # a link posted as 1.0 finds the list of entity 1
+            listed = self._datastream_observations.get(datastream_id)
+        except TypeError:       # an unhashable id, read from a journal record
+            listed = None
         if listed is None:
-            raise UnknownDatastream("no datastream %r" % datastream_id)
+            raise UnknownDatastream("no datastream %r" % (datastream_id,))
         if not isinstance(body, dict) or "result" not in body:
             raise MalformedBody("observation body must contain a result")
-        new_id = self._add("Observations", {
+        rows = self._observations
+        new_id = len(rows) + 1
+        rows[new_id] = {
             "result": body["result"],
             "phenomenonTime": body.get("phenomenonTime", receipt_iso),
             "resultTime": body.get("resultTime", receipt_iso),
-        }, Datastream=datastream_id)
+        }
+        self._observation_datastream[new_id] = datastream_id
         listed.append(new_id)
         return new_id
 
@@ -382,19 +392,30 @@ class Store:
         except UnicodeDecodeError as exc:
             raise CorruptJournal("journal is not UTF-8: %s" % exc) from None
         del raw                         # the replay holds one copy of the journal
-        lines = text.split("\n")
-        del text
-        lines.pop()                     # the empty string after the last newline
+        # One decoder call per record on the whole text. A value is taken only
+        # when it ends at its line's newline; any other line is parsed again
+        # on its own, so a line is accepted exactly when json.loads accepts it.
+        decode = json.JSONDecoder().raw_decode
         store = cls(journal_path=None)
-        for i, line in enumerate(lines):
+        apply = store._apply
+        pos = lineno = 0
+        while pos < len(text):
+            eol = text.index("\n", pos)
+            lineno += 1
             try:
-                record = json.loads(line)
-                store._apply(record)
+                try:
+                    record, end = decode(text, pos)
+                except ValueError:
+                    end = -1
+                if end != eol:
+                    record = json.loads(text[pos:eol])
+                apply(record)
             except (ValueError, KeyError, StError) as exc:
-                if i < len(lines) - 1:
-                    raise CorruptJournal("journal line %d unreadable: %s" % (i + 1, exc))
-                warnings.warn("dropping unreadable final journal line %d: %s" % (i + 1, exc))
-                keep -= len(line.encode("utf-8")) + 1
+                if eol + 1 < len(text):
+                    raise CorruptJournal("journal line %d unreadable: %s" % (lineno, exc))
+                warnings.warn("dropping unreadable final journal line %d: %s" % (lineno, exc))
+                keep -= len(text[pos:eol].encode("utf-8")) + 1
+            pos = eol + 1
         store.journal_path = journal_path
         store._journal_file = open(journal_path, "a", encoding="utf-8")
         store.torn_bytes = size - keep
@@ -404,6 +425,8 @@ class Store:
         return store
 
     def _apply(self, record: dict):
+        if not isinstance(record, dict):
+            raise CorruptJournal("journal record is not a JSON object")
         op = record["op"]
         if op == "create":
             self.create_entity(record["kind"], record["body"], _journal=False)
@@ -657,13 +680,12 @@ class _Server(socketserver.ThreadingTCPServer):
 class BackendServer:
     """Threaded HTTP server wrapping one Store."""
 
-    POLL_INTERVAL = 0.05  # s between serve_forever's shutdown checks; bounds stop()
-
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         self.store = store
         handler = type("Handler", (_Handler,), {"store": store})
         self._httpd = _Server((host, port), handler)
         self._thread = None
+        self._stopping = False
 
     @property
     def port(self) -> int:
@@ -674,16 +696,25 @@ class BackendServer:
         return "http://%s:%d%s" % (self._httpd.server_address[0], self.port, ROOT)
 
     def start(self):
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        args=(self.POLL_INTERVAL,), daemon=True)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
+    def _serve(self):
+        while not self._stopping:
+            self._httpd.handle_request()    # blocks until a connection arrives
+
     def stop(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting: wake the serve thread with one connection of our
+        own, join it, then close the listening socket."""
+        self._stopping = True
         if self._thread:
+            try:
+                socket.create_connection(self._httpd.server_address, timeout=1).close()
+            except OSError:     # stopped before: nothing listens, and the thread has exited
+                pass
             self._thread.join(timeout=5)
+        self._httpd.server_close()
 
 
 def seed_default_entities(store: Store) -> int:

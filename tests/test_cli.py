@@ -105,6 +105,9 @@ def test_pipeline_bad_config_exits_2(capsys, tmp_path):
     assert cli.main(["pipeline", "-o", "nodes=abc"]) == 2
     assert cli.main(["pipeline", "-o", "mode=5"]) == 2
     assert cli.main(["pipeline", "-o", "backend_url=5"]) == 2
+    assert cli.main(["pipeline", "-o", "cuont=5"]) == 2
+    assert cli.main(["pipeline", "-o", "seed=1.9"]) == 2
+    assert cli.main(["pipeline", "-o", "nodes=true"]) == 2
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
     assert cli.main(["pipeline", "--config", str(array)]) == 2

@@ -1,6 +1,7 @@
 import email.utils
 import http.client
 import json
+import pathlib
 import socket
 import struct
 import sys
@@ -387,6 +388,140 @@ def test_ids_continue_after_recovery(tmp_path):
     recovered.close()
 
 
+# JSON lines that replay cannot apply: values that are not objects, and an
+# observation whose datastream id cannot be a dict key
+UNAPPLIABLE = [b'[1]', b'"x"',
+               b'{"op":"observation","datastream_id":[1],"body":{"result":1},"time":"t"}']
+
+
+def _seeded_journal(path):
+    store = sensorthings.Store(journal_path=str(path))
+    sensorthings.seed_default_entities(store)
+    store.close()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("record", UNAPPLIABLE)
+def test_an_unappliable_record_mid_journal_is_corrupt(tmp_path, record):
+    path = tmp_path / "journal.jsonl"
+    lines = _seeded_journal(path).splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2] + [record + b"\n"] + lines[2:]))
+    with pytest.raises(sensorthings.CorruptJournal, match="journal line 3 "):
+        sensorthings.Store.recover(str(path))
+
+
+@pytest.mark.parametrize("record", UNAPPLIABLE)
+def test_an_unappliable_final_record_is_dropped_and_cut(tmp_path, record):
+    path = tmp_path / "journal.jsonl"
+    whole = _seeded_journal(path)
+    path.write_bytes(whole + record + b"\n")
+    with pytest.warns(UserWarning) as caught:
+        store = sensorthings.Store.recover(str(path))
+    store.close()
+    assert "final journal line 5:" in str(caught[0].message)
+    assert store.torn_bytes == len(record) + 1
+    assert path.read_bytes() == whole
+    assert store.count("Datastreams") == 1 and store.count("Observations") == 0
+
+
+def _recover_per_line(path):
+    """``Store.recover`` as a loop over the journal's lines, one ``json.loads``
+    each, applied through the same ``_apply``: the reference of the replay."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    size, keep = len(raw), raw.rfind(b"\n") + 1
+    try:
+        text = raw[:keep].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise sensorthings.CorruptJournal("journal is not UTF-8: %s" % exc) from None
+    lines = text.split("\n")
+    lines.pop()
+    store = sensorthings.Store()
+    for i, line in enumerate(lines):
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise sensorthings.CorruptJournal("journal record is not a JSON object")
+            store._apply(record)
+        except (ValueError, KeyError, sensorthings.StError) as exc:
+            if i < len(lines) - 1:
+                raise sensorthings.CorruptJournal("journal line %d unreadable: %s" % (i + 1, exc))
+            warnings.warn("dropping unreadable final journal line %d: %s" % (i + 1, exc))
+            keep -= len(line.encode("utf-8")) + 1
+    store.torn_bytes = size - keep
+    if store.torn_bytes:
+        warnings.warn("cut %d bytes of torn journal tail" % store.torn_bytes)
+        with open(path, "r+b") as handle:
+            handle.truncate(keep)
+    return store
+
+
+def _replay_outcome(recover, path, journal: bytes):
+    """What ``recover`` makes of ``journal``: the store's entities and links
+    (as repr, so NaN compares equal), ``torn_bytes``, the file's bytes after
+    recovery and the warnings; or the exception's class and text."""
+    path.write_bytes(journal)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            store = recover(str(path))
+        except sensorthings.StError as exc:
+            return type(exc), str(exc)
+    store.close()
+    return (repr(store._entities), repr(store._links), store.torn_bytes, path.read_bytes(),
+            [str(w.message) for w in caught])
+
+
+_TIME = "2017-07-14T02:40:00.000Z"
+_RECORDS = st.one_of(
+    st.builds(lambda ds, result: {"op": "observation", "datastream_id": ds,
+                                  "body": {"result": result}, "time": _TIME},
+              st.sampled_from([1, 1.0, 2]),
+              st.one_of(st.integers(), st.floats(), st.text(max_size=4))),
+    st.sampled_from([
+        {"op": "create", "kind": "Sensors", "body": {"name": "sé"}},
+        {"op": "create", "kind": "Datastreams", "body": {
+            "name": "d", "Thing": {"@iot.id": 1}, "Sensor": {"@iot.id": 1},
+            "ObservedProperty": {"@iot.id": 1}}},
+    ]),
+)
+_PAD = st.text(" \t\r", max_size=2)
+# lines json.loads accepts: records, as ASCII or not, maybe with whitespace around
+_GOOD = st.builds(lambda record, ascii, pad: pad[0] + json.dumps(record, ensure_ascii=ascii)
+                  + pad[1], _RECORDS, st.booleans(), st.tuples(_PAD, _PAD))
+_HOSTILE = st.one_of(
+    st.sampled_from([
+        "", "[1]", '"x"', "3", "null", "NaN", '{"op":"create"}', '{"op":"drop"}', '{"op":',
+        '{"op":"observation","datastream_id":[1],"body":{"result":1},"time":"t"}',
+        "[1,\n2]", '{"op":"create",\n"kind":"Sensors","body":{"name":"s"}}',
+        '\ufeff{"op":"create","kind":"Sensors","body":{"name":"s"}}',   # a BOM
+        b"\xff\xfe",                                                  # not UTF-8
+    ]),
+    _GOOD.map(lambda line: line + line),            # two values on one line
+    _GOOD.map(lambda line: line[:len(line) // 2]),  # cut short
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_GOOD, _GOOD, _GOOD, _HOSTILE), max_size=10),
+       st.one_of(st.just(b""), st.binary(max_size=6), _GOOD.map(lambda line: line.encode("utf-8")[:-1])))
+@example(lines=['  {"op":"create","kind":"Sensors","body":{"name":"s"}}\r', "[1,\n2]"], tail=b"")
+@example(lines=['{"op":"observation","datastream_id":1,"body":{"result":NaN},"time":"t"}',
+                '"x"'], tail=b'{"op"')
+@example(lines=["[1]", '{"op":"create","kind":"Sensors","body":{"name":"s"}}'], tail=b"")
+def test_recover_matches_the_per_line_reference(lines, tail):
+    """Replay with one decoder call per record on the whole text keeps,
+    refuses and cuts exactly the lines that a ``json.loads`` per line does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        seed = _seeded_journal(pathlib.Path(tmp) / "seed.jsonl")
+        journal = seed + b"".join(
+            (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines
+        ) + tail
+        path = pathlib.Path(tmp) / "journal.jsonl"
+        expected = _replay_outcome(_recover_per_line, path, journal)
+        assert _replay_outcome(sensorthings.Store.recover, path, journal) == expected
+
+
 # -- HTTP surface -----------------------------------------------------------
 
 def test_http_create_thing_and_read_back(backend):
@@ -555,6 +690,27 @@ def test_stop_returns_promptly(seeded_store):
     started = time.monotonic()
     server.stop()
     assert time.monotonic() - started < 0.2
+
+
+def test_stop_ends_the_serve_thread_and_closes_the_port(seeded_store):
+    server = sensorthings.BackendServer(seeded_store).start()
+    assert _request(server, "GET", "/Things(1)")[0] == 200
+    server.stop()
+    assert not server._thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=2)
+
+
+@pytest.mark.parametrize("path, body, link", [
+    ("/Observations", {"result": 1, "Datastream": {"@iot.id": True}}, "Datastream"),
+    ("/Datastreams", {"name": "d", "Thing": {"@iot.id": True}, "Sensor": {"@iot.id": 1},
+                      "ObservedProperty": {"@iot.id": 1}}, "Thing"),
+])
+def test_boolean_link_ids_are_400(seeded_store, path, body, link):
+    status, text, _ = sensorthings.respond(seeded_store, "POST", "/v1.0" + path,
+                                           json.dumps(body).encode(), 0.0)
+    assert (status, json.loads(text)) == (400, {"error": link + " link id must be a number"})
+    assert seeded_store.count("Observations") == 0 and seeded_store.count("Datastreams") == 1
 
 
 # -- entity ids too long for int() ------------------------------------------
