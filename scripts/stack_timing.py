@@ -5,7 +5,9 @@ Prints the median µs of one ``StackEndpoint.send`` plus the peer's
 ``receive`` at 15, 300 and 1377 B of payload for each frame profile, and of
 one NON observation exchange (node, gateway, ``StoreSession``, in-memory
 store) on the virtual clock. Each figure is the median over ``--repeat``
-rounds of the mean of ``--number`` calls. Last, it prints the µs of the
+rounds of the mean of ``--number`` calls. Next to that exchange it prints
+the same exchange through ``HttpSession`` to a started ``BackendServer``,
+which answers it in the caller's thread. Last, it prints the µs of the
 newest 100-row page of ``Datastreams(1)/Observations`` read through
 ``sensorthings.respond`` at 2k and 50k stored rows: cold (the median first
 read of each of the 20 newest pages, whose entities were never rendered)
@@ -63,15 +65,13 @@ def stack_step(profile: str, size: int):
     return step
 
 
-def exchange_step():
+def exchange_step(store, base_url, session):
+    """One NON observation from a node through a gateway with ``session``."""
     clock = VirtualClock()
-    store = sensorthings.Store()
-    sensorthings.seed_default_entities(store)
     link = link154.SimulatedLink()
     gw = gateway.Gateway(
         stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
-        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-        session=gateway.StoreSession(store, clock))
+        gateway.UpstreamConfig(base_url=base_url), session=session)
     sensor = node.Node(node.NodeConfig(), stack.StackEndpoint(
         link.endpoints[0], stack.node_stack_config()), clock)
 
@@ -79,6 +79,22 @@ def exchange_step():
         record = sensor.send_observation(pump=gw.process_pending)
         assert record.outcome == "acked"
     return step
+
+
+def exchange_timing(repeat: int, number: int):
+    """(µs through StoreSession, µs through HttpSession in the caller's thread)."""
+    store = sensorthings.Store()
+    sensorthings.seed_default_entities(store)
+    in_process = median_us(exchange_step(
+        store, "http://sim/v1.0", gateway.StoreSession(store, VirtualClock())), repeat, number)
+    server = sensorthings.BackendServer(store).start()
+    session = gateway.HttpSession()
+    try:
+        in_thread = median_us(exchange_step(store, server.base_url, session), repeat, number)
+    finally:
+        session.close()
+        server.stop()
+    return in_process, in_thread
 
 
 def page_timing(rows: int, repeat: int, number: int):
@@ -138,8 +154,9 @@ def main(argv=None) -> int:
         for size in SIZES:
             us = median_us(stack_step(profile, size), args.repeat, args.number)
             print("  %-10s %5d B %19s %10.1f" % (profile, size, "", us))
-    us = median_us(exchange_step(), args.repeat, args.number)
-    print("%-36s %10.1f" % ("NON exchange through StoreSession", us))
+    in_process, in_thread = exchange_timing(args.repeat, args.number)
+    print("%-36s %10.1f" % ("NON exchange through StoreSession", in_process))
+    print("%-36s %10.1f" % ("NON exchange, in-thread HTTP hop", in_thread))
     print("%-36s %10s %10s" % ("100-row page through respond", "cold µs", "warm µs"))
     for rows in PAGE_ROWS:
         cold, warm = page_timing(rows, args.repeat, args.number)

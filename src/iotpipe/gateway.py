@@ -9,6 +9,7 @@ Location-Path options instead of carrying it.
 
 import functools
 import http.client
+import io
 import json
 import re
 import select
@@ -185,10 +186,15 @@ class HttpSession:
     error closes the connection, so the next call reconnects; nothing is
     retried, because a POST may already have been stored. Proxy settings in
     the environment are not read.
+
+    An ``http`` origin served by a started ``sensorthings.BackendServer`` of
+    this process gets an in-thread connection instead of a socket: the same
+    request bytes are answered by the server's own serve function in the
+    caller's thread, and the reply is read by the same parser.
     """
 
     def __init__(self):
-        self._sock = None
+        self._sock = None       # the open connection: a socket, or an _InThread
         self._rfile = None      # the one buffered reader of the open connection
         self._origin = None     # (scheme, host, port) of the open connection
 
@@ -220,7 +226,13 @@ class HttpSession:
     def _connect(self, origin, timeout):
         scheme, hostname, port = origin
         https = scheme == "https"
-        sock = socket.create_connection((hostname, port or (443 if https else 80)), timeout)
+        address = (hostname, port or (443 if https else 80))
+        server = None if https else sensorthings.LOCAL_SERVERS.get(address)
+        if server is not None:
+            conn = _InThread(server)
+            self._sock, self._rfile, self._origin = conn, conn.rfile, origin
+            return
+        sock = socket.create_connection(address, timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if https:
@@ -236,6 +248,29 @@ class HttpSession:
             self._rfile.close()
             self._sock.close()
             self._sock = self._rfile = None
+
+
+class _InThread:
+    """A connection to a ``BackendServer`` of this process with no socket:
+    ``sendall`` has the server answer the request from one buffer into
+    ``rfile``, which then holds the reply bytes, and nothing blocks."""
+
+    def __init__(self, server):
+        self._server = server
+        self.rfile = io.BytesIO()
+
+    def sendall(self, message: bytes):
+        reply = self.rfile
+        reply.seek(0)
+        reply.truncate()
+        self._server.answer(io.BytesIO(message), reply)
+        reply.seek(0)
+
+    def settimeout(self, timeout):
+        pass
+
+    def close(self):    # the session closes ``rfile``
+        pass
 
 
 _UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
@@ -349,8 +384,10 @@ def _target(parts) -> str:
 
 
 def _dropped(sock) -> bool:
-    """True when an idle keep-alive socket is readable: the peer closed it."""
-    if sock is None:
+    """True when an idle keep-alive socket is readable: the peer closed it.
+    An in-thread connection has nothing to read while idle; a server stopped
+    since answers its next request with nothing."""
+    if not isinstance(sock, socket.socket):
         return False
     poller = select.poll()
     poller.register(sock, select.POLLIN)

@@ -6,6 +6,7 @@ run artifacts: send records, gateway metrics, journal, and a summary.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -33,8 +34,25 @@ class PipelineConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError("%s must be an int, not %r" % (name, value))
+        for name in ("period", "loss_probability"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError("%s must be a number, not %r" % (name, value))
+            try:
+                setattr(self, name, float(value))
+            except OverflowError:
+                raise ValueError("%s is out of range" % name) from None
+        if self.nodes < 1 or self.observations_per_node < 1:
+            raise ValueError("nodes and observations_per_node must be >= 1")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be > 0 and finite, not %r" % self.period)
+        if not 0 <= self.loss_probability <= 1:
+            raise ValueError("loss_probability must be within [0, 1], not %r"
+                             % self.loss_probability)
         if not isinstance(self.compress, bool):
             raise ValueError("compress must be true or false, not %r" % (self.compress,))
+        if self.backend_url is not None and not isinstance(self.backend_url, str):
+            raise ValueError("backend_url must be a string, not %r" % (self.backend_url,))
         nodemod.Reliability(self.confirmable, self.max_retransmit)  # checks max_retransmit
 
 

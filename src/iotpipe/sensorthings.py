@@ -4,7 +4,8 @@ Entity model (Thing, Location, Sensor, ObservedProperty, Datastream,
 Observation), deep insert of Things with Locations, observation ingestion,
 navigation reads, and an append-only JSON-lines journal for recovery.
 Requests are answered by one function, ``respond``; the HTTP server only
-reads and writes HTTP around it.
+reads and writes HTTP around it, in a thread per connection or, for a
+client in the same process, in the client's thread.
 """
 
 import http.client
@@ -209,7 +210,7 @@ class Store:
         if (
             not isinstance(coords, (list, tuple))
             or len(coords) != 2
-            or not all(isinstance(c, (int, float)) for c in coords)
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coords)
             or not -180 <= coords[0] <= 180
             or not -90 <= coords[1] <= 90
         ):
@@ -379,7 +380,8 @@ class Store:
         with a warning, and the file is cut back to the end of the last record
         replayed, so the next record starts on a line of its own;
         ``torn_bytes`` counts what was cut. Corruption before the final record
-        raises CorruptJournal.
+        raises CorruptJournal; a record nested too deep to decode counts as
+        unparsable.
         """
         try:
             with open(journal_path, "rb") as handle:
@@ -405,12 +407,12 @@ class Store:
             try:
                 try:
                     record, end = decode(text, pos)
-                except ValueError:
+                except (ValueError, RecursionError):    # may have run past the line
                     end = -1
                 if end != eol:
                     record = json.loads(text[pos:eol])
                 apply(record)
-            except (ValueError, KeyError, StError) as exc:
+            except (ValueError, KeyError, StError, RecursionError) as exc:
                 if eol + 1 < len(text):
                     raise CorruptJournal("journal line %d unreadable: %s" % (lineno, exc))
                 warnings.warn("dropping unreadable final journal line %d: %s" % (lineno, exc))
@@ -585,44 +587,26 @@ def keeps_alive(version: bytes, fields: dict) -> bool:
 
 
 class _Refused(Exception):
-    """A request the handler answers itself with ``status``, then closes."""
+    """A request the server answers itself with ``status``, then closes."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """Answers the requests of one keep-alive connection through ``respond``."""
+def _serve_one(rfile, wfile, store, server) -> bool:
+    """Answer the next request on ``rfile`` through ``respond``, in one write
+    to ``wfile``; False once the connection is to be closed.
 
-    timeout = None              # idle seconds before the connection is dropped
-    disable_nagle_algorithm = True
-    store = None                # set per server
-
-    def handle(self):
-        try:
-            while self._serve_one():
-                pass
-        except (TimeoutError, ConnectionError):     # idle timeout, or the peer went away
-            pass
-
-    def _serve_one(self) -> bool:
-        """Answer one request; False once the connection is to be closed."""
-        line = self.rfile.readline(MAX_LINE + 1)
-        if not line:
-            return False
-        now = time.time()
-        try:
-            method, target, keep_alive, body = self._read_request(line)
-        except _Refused as exc:
-            self._reply(now, exc.status, _error_json(str(exc)), None, keep_alive=False)
-            return False
-        status, text, location = respond(self.store, method, target, body, now)
-        self._reply(now, status, text, location, keep_alive, with_body=method != "HEAD")
-        return keep_alive
-
-    def _read_request(self, line: bytes):
-        """(method, target, keep-alive, body) of the request ``line`` begins."""
+    Both transports serve through here: the threaded handler over a socket
+    and ``BackendServer.answer`` in the caller's thread. ``server`` gives the
+    Date field. A truncated request raises ConnectionError.
+    """
+    line = rfile.readline(MAX_LINE + 1)
+    if not line:
+        return False
+    now = time.time()
+    try:
         if len(line) > MAX_LINE:
             raise _Refused(400, "request line over %d bytes" % MAX_LINE)
         parts = line.split()
@@ -630,7 +614,7 @@ class _Handler(socketserver.StreamRequestHandler):
             raise _Refused(400, "malformed request line")
         method, target, version = parts
         try:
-            fields = read_fields(self.rfile)
+            fields = read_fields(rfile)
             length = content_length(fields) or 0
         except http.client.LineTooLong as exc:
             raise _Refused(431, str(exc))
@@ -643,30 +627,59 @@ class _Handler(socketserver.StreamRequestHandler):
         if length > MAX_BODY:
             raise _Refused(413, "request body over %d bytes" % MAX_BODY)
         if fields.get("expect", "").lower() == "100-continue":
-            self.wfile.write(_CONTINUE)
+            wfile.write(_CONTINUE)
         # Read the body of every method, so none is left in a keep-alive stream.
-        body = self.rfile.read(length) if length else b""
+        body = rfile.read(length) if length else b""
         if len(body) < length:
             raise ConnectionAbortedError("peer closed the connection mid-body")
-        return (method.decode("latin-1"), target.decode("latin-1"),
-                keeps_alive(version, fields), body)
+        method, keep_alive = method.decode("latin-1"), keeps_alive(version, fields)
+        status, text, location = respond(store, method, target.decode("latin-1"), body, now)
+    except _Refused as exc:
+        method, keep_alive = None, False
+        status, text, location = exc.status, _error_json(str(exc)), None
+    payload = text.encode("utf-8")
+    head = ("HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
+            "Content-Length: %d\r\nDate: %s\r\n") % (
+        status, _REASONS.get(status, ""), len(payload), server.http_date(now))
+    if not keep_alive:
+        head += "Connection: close\r\n"
+    if location:
+        head += "Location: %s\r\n" % location
+    wfile.write((head + "\r\n").encode("latin-1") + (payload if method != "HEAD" else b""))
+    return keep_alive
 
-    def _reply(self, now, status, text, location, keep_alive, with_body=True):
-        body = text.encode("utf-8")
-        head = ("HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
-                "Content-Length: %d\r\nDate: %s\r\n") % (
-            status, _REASONS.get(status, ""), len(body), self.server.http_date(now))
-        if not keep_alive:
-            head += "Connection: close\r\n"
-        if location:
-            head += "Location: %s\r\n" % location
-        self.wfile.write((head + "\r\n").encode("latin-1") + (body if with_body else b""))
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Answers the requests of one keep-alive connection."""
+
+    timeout = None              # idle seconds before the connection is dropped
+    disable_nagle_algorithm = True
+    store = None                # set per server
+
+    def handle(self):
+        try:
+            while _serve_one(self.rfile, self.wfile, self.store, self.server):
+                pass
+        except (TimeoutError, ConnectionError):     # idle timeout, or the peer went away
+            pass
 
 
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     _date = (None, "")      # (epoch second, its IMF-fixdate)
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.connections = set()    # accepted sockets, until their handler closes them
+
+    def process_request(self, request, client_address):
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.connections.discard(request)
+        super().shutdown_request(request)
 
     def http_date(self, now: float) -> str:
         """The Date field value for ``now`` (RFC 9110 section 6.6.1), formatted
@@ -677,8 +690,18 @@ class _Server(socketserver.ThreadingTCPServer):
         return self._date[1]
 
 
+# (host, port) -> the started BackendServer of this process bound there.
+# ``gateway.HttpSession`` answers a connection to one of these in the
+# caller's thread, through ``BackendServer.answer``, with no socket.
+LOCAL_SERVERS = {}
+
+
 class BackendServer:
-    """Threaded HTTP server wrapping one Store."""
+    """Threaded HTTP server wrapping one Store.
+
+    Started, it also answers connections from ``gateway.HttpSession``s of
+    this process in their own thread (see ``LOCAL_SERVERS``).
+    """
 
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
         self.store = store
@@ -686,6 +709,11 @@ class BackendServer:
         self._httpd = _Server((host, port), handler)
         self._thread = None
         self._stopping = False
+
+    @property
+    def address(self) -> tuple:
+        """The bound (host, port)."""
+        return self._httpd.server_address
 
     @property
     def port(self) -> int:
@@ -698,15 +726,33 @@ class BackendServer:
     def start(self):
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
+        LOCAL_SERVERS[self.address] = self
         return self
 
     def _serve(self):
         while not self._stopping:
             self._httpd.handle_request()    # blocks until a connection arrives
 
+    def answer(self, rfile, wfile) -> bool:
+        """Serve the next request on ``rfile`` into ``wfile`` in the caller's
+        thread, as a connection's handler thread would; False once that
+        connection is to be closed. A stopped server answers nothing. An
+        error is reported like one in a handler thread, by ``socketserver``'s
+        ``handle_error``, and closes the connection."""
+        if self._stopping:
+            return False
+        try:
+            return _serve_one(rfile, wfile, self.store, self._httpd)
+        except Exception:
+            self._httpd.handle_error(None, "a connection in this thread")
+            return False
+
     def stop(self):
-        """Stop accepting: wake the serve thread with one connection of our
-        own, join it, then close the listening socket."""
+        """Stop answering: leave ``LOCAL_SERVERS``, wake the serve thread with
+        one connection of our own and join it, shut down the connections still
+        open (their handler threads then read the end and exit), then close
+        the listening socket."""
+        LOCAL_SERVERS.pop(self.address, None)
         self._stopping = True
         if self._thread:
             try:
@@ -714,6 +760,11 @@ class BackendServer:
             except OSError:     # stopped before: nothing listens, and the thread has exited
                 pass
             self._thread.join(timeout=5)
+        for conn in list(self._httpd.connections):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:     # its handler closed it meanwhile
+                pass
         self._httpd.server_close()
 
 

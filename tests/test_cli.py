@@ -108,10 +108,30 @@ def test_pipeline_bad_config_exits_2(capsys, tmp_path):
     assert cli.main(["pipeline", "-o", "cuont=5"]) == 2
     assert cli.main(["pipeline", "-o", "seed=1.9"]) == 2
     assert cli.main(["pipeline", "-o", "nodes=true"]) == 2
+    assert cli.main(["pipeline", "-o", "period=true"]) == 2
+    assert cli.main(["pipeline", "-o", "loss=true"]) == 2
+    assert cli.main(["pipeline", "-o", "period=0"]) == 2
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
     assert cli.main(["pipeline", "--config", str(array)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("period", True), ("period", 0), ("period", -1.0), ("period", float("inf")),
+    ("period", "10"), ("period", 10 ** 400), ("loss_probability", True),
+    ("loss_probability", 1.5), ("loss_probability", -0.1), ("loss_probability", float("nan")),
+    ("nodes", 0), ("observations_per_node", 0), ("backend_url", 5),
+])
+def test_pipeline_config_refuses_a_bad_value(field, value):
+    with pytest.raises(ValueError):
+        PipelineConfig(**{field: value})
+
+
+def test_pipeline_config_takes_an_int_period_and_loss_as_floats():
+    config = PipelineConfig(period=10, loss_probability=0)
+    assert (config.period, config.loss_probability) == (10.0, 0.0)
+    assert isinstance(config.period, float) and isinstance(config.loss_probability, float)
 
 
 @pytest.mark.parametrize("value", [-1, 1.5, True, "4"])

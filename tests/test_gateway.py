@@ -150,6 +150,35 @@ def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
 
 
 # -- end-to-end through a live backend --------------------------------------
+# A started BackendServer answers the HttpSessions of this process in their
+# own thread. TestOverTcp, at the end of this file, reruns every test here
+# that pairs the two with the server taken out of LOCAL_SERVERS, so that the
+# same exchanges go over loopback TCP.
+
+@pytest.fixture
+def serve():
+    """``serve(store)`` starts a BackendServer on ``store`` and returns it;
+    every server started is stopped after the test."""
+    servers = []
+
+    def start(store):
+        servers.append(sensorthings.BackendServer(store).start())
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture
+def backend(serve, seeded_store):
+    return serve(seeded_store)
+
+
+def over_tcp(server) -> bool:
+    """Whether HttpSessions reach ``server`` over TCP, not in their thread."""
+    return server.address not in sensorthings.LOCAL_SERVERS
+
 
 @pytest.fixture
 def build_pair():
@@ -227,6 +256,31 @@ def test_three_concurrent_nodes_no_token_mismatch(backend, build_pair):
         assert all(r.outcome == "acked" for r in one.records)
 
 
+def test_gateways_in_four_threads_share_one_server(backend, build_pair):
+    """Each thread runs its own node, gateway and session against one server,
+    switching threads every 10 µs: every exchange is acked and stored once."""
+    pairs = [build_pair(backend.base_url, seed=i) for i in range(4)]
+    records = {}
+
+    def run(i, node_ep, gw):
+        records[i] = send_observations(node_ep, gw, 50)
+
+    threads = [threading.Thread(target=run, args=(i, *pair)) for i, pair in enumerate(pairs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [r.response_code for i in range(4) for r in records[i]] == ["2.01"] * 200
+    stored = backend.store.query("Observations", {"$top": "300"})
+    assert [row["@iot.id"] for row in stored["value"]] == list(range(1, 201))
+
+
 def test_retransmission_deduplicated(backend, build_pair):
     node_ep, gw = build_pair(backend.base_url)
     request = coap.build_observation_request(
@@ -298,19 +352,27 @@ def send_observations(node_ep, gw, count):
 
 
 def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_pair):
-    accepted = []   # the connections the backend accepts
+    accepted = []   # the sockets the backend accepts
+    connects = []   # the connections the session opens
     real_get_request = backend._httpd.get_request
+    real_connect = gateway.HttpSession._connect
 
     def counting_get_request():
         accepted.append(real_get_request())
         return accepted[-1]
 
+    def counting_connect(session, origin, timeout):
+        connects.append(origin)
+        real_connect(session, origin, timeout)
+
     monkeypatch.setattr(backend._httpd, "get_request", counting_get_request)
+    monkeypatch.setattr(gateway.HttpSession, "_connect", counting_connect)
     node_ep, gw = build_pair(backend.base_url)
     records = send_observations(node_ep, gw, 50)
     assert all(r.response_code == "2.01" for r in records)
     assert backend.store.count("Observations") == 50
-    assert len(accepted) == 1
+    assert len(connects) == 1
+    assert len(accepted) == (1 if over_tcp(backend) else 0)
 
 
 def test_session_reply_headers_are_case_insensitive(backend):
@@ -334,22 +396,69 @@ def test_next_observation_after_session_close_is_stored(backend, build_pair):
     assert backend.store.count("Observations") == 2
 
 
-def test_next_observation_after_server_drops_idle_connection_is_stored(seeded_store,
-                                                                      build_pair):
-    server = sensorthings.BackendServer(seeded_store)
-    server._httpd.RequestHandlerClass.timeout = 0.1   # server drops idle sockets
-    server.start()
-    try:
-        node_ep, gw = build_pair(server.base_url)
-        sensor = node.Node(node.NodeConfig(), node_ep, VirtualClock())
-        sensor.send_observation(pump=gw.process_pending)
-        time.sleep(0.4)
-        record = sensor.send_observation(pump=gw.process_pending)
-    finally:
-        server.stop()
+def test_next_observation_after_server_drops_idle_connection_is_stored(backend, build_pair):
+    backend._httpd.RequestHandlerClass.timeout = 0.1   # the handler drops idle sockets
+    node_ep, gw = build_pair(backend.base_url)
+    sensor = node.Node(node.NodeConfig(), node_ep, VirtualClock())
+    sensor.send_observation(pump=gw.process_pending)
+    time.sleep(0.4)
+    record = sensor.send_observation(pump=gw.process_pending)
     assert record.outcome == "acked" and record.response_code == "2.01"
-    assert seeded_store.count("Observations") == 2
+    assert backend.store.count("Observations") == 2
     assert gw.metrics.upstream_errors == 0
+
+
+def test_a_stopped_server_stops_answering(backend, build_pair):
+    node_ep, gw = build_pair(backend.base_url)
+    sensor = node.Node(node.NodeConfig(), node_ep, VirtualClock())
+    assert sensor.send_observation(pump=gw.process_pending).response_code == "2.01"
+    backend.stop()      # the session's keep-alive connection is still open
+    record = sensor.send_observation(pump=gw.process_pending)
+    assert record.response_code == "5.02"
+    assert gw.metrics.upstream_errors == 1
+    assert backend.store.count("Observations") == 1
+    deadline = time.monotonic() + 2
+    while backend._httpd.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not backend._httpd.connections   # every handler thread closed its socket
+
+
+def test_a_failing_handler_answers_5_02_and_the_next_exchange_is_stored(
+        backend, build_pair, monkeypatch, capfd):
+    real_respond = sensorthings.respond
+    calls = []
+
+    def respond_failing_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("respond failed")
+        return real_respond(*args)
+
+    monkeypatch.setattr(sensorthings, "respond", respond_failing_once)
+    node_ep, gw = build_pair(backend.base_url)
+    first, second = send_observations(node_ep, gw, 2)
+    assert (first.response_code, second.response_code) == ("5.02", "2.01")
+    assert gw.metrics.upstream_errors == 1
+    assert backend.store.count("Observations") == 1
+    assert "RuntimeError: respond failed" in capfd.readouterr().err     # the traceback
+
+
+def test_a_page_over_1_mib_reads_the_same_in_thread_as_over_tcp(serve, seeded_store):
+    for i in range(100):
+        seeded_store.ingest_observation(1, {"result": "x" * 11_000}, receipt_time=float(i))
+    in_thread, tcp = serve(seeded_store), serve(seeded_store)
+    del sensorthings.LOCAL_SERVERS[tcp.address]
+    replies = []
+    for server, connection in ((in_thread, gateway._InThread), (tcp, socket.socket)):
+        session = gateway.HttpSession()
+        try:
+            replies.append(session.request("GET", server.base_url + "/Observations", timeout=5))
+            assert isinstance(session._sock, connection)
+        finally:
+            session.close()
+    assert [reply.status_code for reply in replies] == [200, 200]
+    assert len(replies[0].content) > 1 << 20
+    assert replies[0].content == replies[1].content
 
 
 def test_silent_upstream_times_out_with_5_04(build_pair):
@@ -670,14 +779,13 @@ def seeded_with_observations():
     return store
 
 
-def test_store_session_answers_like_the_http_backend():
-    server = sensorthings.BackendServer(seeded_with_observations()).start()
+def test_store_session_answers_like_the_http_backend(serve):
+    server = serve(seeded_with_observations())
     session = gateway.HttpSession()
     try:
         over_http = seam_replies(session, server.base_url)
     finally:
         session.close()
-        server.stop()
     in_process = seam_replies(
         gateway.StoreSession(seeded_with_observations(), VirtualClock()), "http://sim/v1.0")
     assert in_process == over_http
@@ -736,3 +844,44 @@ def test_runtime_does_not_import_requests():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+class TestOverTcp:
+    """The tests above that pair an HttpSession with a BackendServer, rerun
+    with each server taken out of ``sensorthings.LOCAL_SERVERS``, so that
+    every exchange goes over loopback TCP. (The entry is deleted outright:
+    ``stop()`` tolerates its absence, where a monkeypatch would put it back
+    after ``stop()`` had removed it.)"""
+
+    @pytest.fixture
+    def serve(self, serve):
+        def start(store):
+            server = serve(store)
+            del sensorthings.LOCAL_SERVERS[server.address]
+            return server
+        return start
+
+    test_ten_observations_stored_and_acknowledged = staticmethod(
+        test_ten_observations_stored_and_acknowledged)
+    test_payload_bytes_preserved_end_to_end = staticmethod(test_payload_bytes_preserved_end_to_end)
+    test_pipeline_on_an_external_backend_reads_the_stored_count_over_http = staticmethod(
+        test_pipeline_on_an_external_backend_reads_the_stored_count_over_http)
+    test_three_concurrent_nodes_no_token_mismatch = staticmethod(
+        test_three_concurrent_nodes_no_token_mismatch)
+    test_gateways_in_four_threads_share_one_server = staticmethod(
+        test_gateways_in_four_threads_share_one_server)
+    test_retransmission_deduplicated = staticmethod(test_retransmission_deduplicated)
+    test_exchanges_share_one_keep_alive_connection = staticmethod(
+        test_exchanges_share_one_keep_alive_connection)
+    test_session_reply_headers_are_case_insensitive = staticmethod(
+        test_session_reply_headers_are_case_insensitive)
+    test_next_observation_after_session_close_is_stored = staticmethod(
+        test_next_observation_after_session_close_is_stored)
+    test_next_observation_after_server_drops_idle_connection_is_stored = staticmethod(
+        test_next_observation_after_server_drops_idle_connection_is_stored)
+    test_a_stopped_server_stops_answering = staticmethod(test_a_stopped_server_stops_answering)
+    test_a_failing_handler_answers_5_02_and_the_next_exchange_is_stored = staticmethod(
+        test_a_failing_handler_answers_5_02_and_the_next_exchange_is_stored)
+    test_coap_put_is_4_05 = staticmethod(test_coap_put_is_4_05)
+    test_store_session_answers_like_the_http_backend = staticmethod(
+        test_store_session_answers_like_the_http_backend)

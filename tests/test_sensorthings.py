@@ -1,7 +1,9 @@
 import email.utils
 import http.client
+import io
 import json
 import pathlib
+import re
 import socket
 import struct
 import sys
@@ -388,10 +390,12 @@ def test_ids_continue_after_recovery(tmp_path):
     recovered.close()
 
 
-# JSON lines that replay cannot apply: values that are not objects, and an
-# observation whose datastream id cannot be a dict key
+# JSON lines that replay cannot apply: values that are not objects, an
+# observation whose datastream id cannot be a dict key, and a value nested
+# deeper than the decoder recurses
 UNAPPLIABLE = [b'[1]', b'"x"',
-               b'{"op":"observation","datastream_id":[1],"body":{"result":1},"time":"t"}']
+               b'{"op":"observation","datastream_id":[1],"body":{"result":1},"time":"t"}',
+               pytest.param(b"[" * 100_000, id="nested-too-deep")]
 
 
 def _seeded_journal(path):
@@ -443,7 +447,7 @@ def _recover_per_line(path):
             if not isinstance(record, dict):
                 raise sensorthings.CorruptJournal("journal record is not a JSON object")
             store._apply(record)
-        except (ValueError, KeyError, sensorthings.StError) as exc:
+        except (ValueError, KeyError, sensorthings.StError, RecursionError) as exc:
             if i < len(lines) - 1:
                 raise sensorthings.CorruptJournal("journal line %d unreadable: %s" % (i + 1, exc))
             warnings.warn("dropping unreadable final journal line %d: %s" % (i + 1, exc))
@@ -493,7 +497,7 @@ _HOSTILE = st.one_of(
     st.sampled_from([
         "", "[1]", '"x"', "3", "null", "NaN", '{"op":"create"}', '{"op":"drop"}', '{"op":',
         '{"op":"observation","datastream_id":[1],"body":{"result":1},"time":"t"}',
-        "[1,\n2]", '{"op":"create",\n"kind":"Sensors","body":{"name":"s"}}',
+        "[1,\n2]", '{"op":"create",\n"kind":"Sensors","body":{"name":"s"}}', "[" * 100_000,
         '\ufeff{"op":"create","kind":"Sensors","body":{"name":"s"}}',   # a BOM
         b"\xff\xfe",                                                  # not UTF-8
     ]),
@@ -509,6 +513,7 @@ _HOSTILE = st.one_of(
 @example(lines=['{"op":"observation","datastream_id":1,"body":{"result":NaN},"time":"t"}',
                 '"x"'], tail=b'{"op"')
 @example(lines=["[1]", '{"op":"create","kind":"Sensors","body":{"name":"s"}}'], tail=b"")
+@example(lines=['{"op":', "[" * 100_000], tail=b"")     # the decoder runs into a deep line
 def test_recover_matches_the_per_line_reference(lines, tail):
     """Replay with one decoder call per record on the whole text keeps,
     refuses and cuts exactly the lines that a ``json.loads`` per line does."""
@@ -713,6 +718,20 @@ def test_boolean_link_ids_are_400(seeded_store, path, body, link):
     assert seeded_store.count("Observations") == 0 and seeded_store.count("Datastreams") == 1
 
 
+BOOLEAN_POINT = {"type": "Point", "coordinates": [True, False]}
+
+
+@pytest.mark.parametrize("path, body", [
+    ("/Locations", {"name": "l", "location": BOOLEAN_POINT}),
+    ("/Things", {"name": "t", "Locations": [{"name": "l", "location": BOOLEAN_POINT}]}),
+], ids=["location", "deep-insert"])
+def test_boolean_coordinates_are_400(seeded_store, path, body):
+    status, text, _ = sensorthings.respond(seeded_store, "POST", "/v1.0" + path,
+                                           json.dumps(body).encode(), 0.0)
+    assert (status, json.loads(text)) == (400, {"error": "coordinates must be [lon, lat] in range"})
+    assert seeded_store.count("Locations") == 1 and seeded_store.count("Things") == 1
+
+
 # -- entity ids too long for int() ------------------------------------------
 
 LONG_ID = "9" * 5000   # more digits than int() converts
@@ -849,6 +868,47 @@ def test_expect_100_continue_gets_an_interim_reply(backend):
         rest = sock.makefile("rb").read()
     assert [status for status, _, _ in _replies(rest)] == [201]
     assert backend.store.count("Observations") == 1
+
+
+# Requests as a client might send them on one connection, each ending where
+# the server stops reading it. A posted observation carries its times, so
+# that its reply does not depend on when it was received.
+TIMED = b'{"result":7,"phenomenonTime":"t","resultTime":"t"}'
+RAW_REQUESTS = {
+    "keep-alive-then-close": b"GET /v1.0/Things(1) HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                             b"GET /v1.0/Sensors(1) HTTP/1.0\r\n\r\n",
+    "pipelined": b"POST /v1.0/Observations HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+                 b"%sGET /v1.0/Observations(1) HTTP/1.1\r\nHost: x\r\n"
+                 b"Connection: close\r\n\r\n" % (len(TIMED), TIMED),
+    "expect-100-continue": b"POST /v1.0/Observations HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                           b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n%s"
+                           % (len(TIMED), TIMED),
+    "head": b"HEAD /v1.0/Things(1) HTTP/1.1\r\nConnection: close\r\n\r\n",
+    "not-found": b"GET /v1.0/Things(9) HTTP/1.1\r\nConnection: close\r\n\r\n",
+    "transfer-encoding": b"POST /v1.0/Observations HTTP/1.1\r\nHost: x\r\n"
+                         b"Transfer-Encoding: chunked\r\n\r\n",
+    "long-request-line": b"G" * LIMIT,
+    "long-header-line": HEAD + b"X-Long: " + b"x" * (LIMIT - 8),
+    "101-headers": HEAD + b"X-Many: 1\r\n" * (sensorthings.MAX_HEADERS + 1),
+    "no-version": b"GET /v1.0\r\n",
+    "http-2": b"GET /v1.0 HTTP/2.0\r\n\r\n",
+    "body-over-1-MiB": b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+}
+_DATE = re.compile(rb"Date: [^\r]*\r\n")
+
+
+@pytest.mark.parametrize("request_bytes", RAW_REQUESTS.values(), ids=RAW_REQUESTS.keys())
+def test_in_thread_answers_are_the_bytes_sent_over_tcp(backend, request_bytes):
+    """``BackendServer.answer``, fed one connection's bytes in this thread,
+    writes what the threaded handler sends over TCP, up to the Date."""
+    over_tcp = _raw(backend, request_bytes)
+    twin = sensorthings.BackendServer(sensorthings.Store())
+    sensorthings.seed_default_entities(twin.store)
+    rfile, wfile = io.BytesIO(request_bytes), io.BytesIO()
+    while twin.answer(rfile, wfile):
+        pass
+    twin.stop()
+    assert _DATE.sub(b"", wfile.getvalue()) == _DATE.sub(b"", over_tcp)
 
 
 def test_idle_timeout_and_peer_reset_end_connections_quietly(seeded_store, capfd):
