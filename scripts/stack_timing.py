@@ -3,15 +3,14 @@
 
 Prints the median µs of one ``StackEndpoint.send`` plus the peer's
 ``receive`` at 15, 300 and 1377 B of payload for each frame profile, and of
-one NON observation exchange (node, gateway, ``StoreSession``, in-memory
-store) on the virtual clock. Each figure is the median over ``--repeat``
-rounds of the mean of ``--number`` calls. Next to that exchange it prints
-the same exchange through ``HttpSession`` to a started ``BackendServer``,
-which answers it in the caller's thread. Last, it prints the µs of the
-newest 100-row page of ``Datastreams(1)/Observations`` read through
-``sensorthings.respond`` at 2k and 50k stored rows: cold (the median first
-read of each of the 20 newest pages, whose entities were never rendered)
-and warm (the same page read again). Both should be flat in store size.
+one NON observation exchange on the virtual clock: node, gateway and
+``HttpSession`` to a started ``BackendServer`` on an in-memory store, which
+answers it in the caller's thread. Each figure is the median over
+``--repeat`` rounds of the mean of ``--number`` calls. Last, it prints the
+µs of the newest 100-row page of ``Datastreams(1)/Observations`` read
+through ``sensorthings.respond`` at 2k and 50k stored rows: cold (the median
+first read of each of the 20 newest pages, whose entities were never
+rendered) and warm (the same page read again). Both should be flat in store size.
 Then it prints the median ms of ``Store.recover`` over ``--repeat`` replays
 of a 2k-row and a 50k-row journal, each built like the benchmark's
 ``read-mix`` base journal (the seed entities, then ``{"result": n}`` rows),
@@ -65,36 +64,28 @@ def stack_step(profile: str, size: int):
     return step
 
 
-def exchange_step(store, base_url, session):
-    """One NON observation from a node through a gateway with ``session``."""
+def exchange_timing(repeat: int, number: int) -> float:
+    """µs of one NON observation from a node through a gateway to a
+    ``BackendServer`` on the node's clock, over the in-thread HTTP hop."""
     clock = VirtualClock()
+    store = sensorthings.Store()
+    sensorthings.seed_default_entities(store)
+    server = sensorthings.BackendServer(store, clock=clock).start()
     link = link154.SimulatedLink()
     gw = gateway.Gateway(
         stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
-        gateway.UpstreamConfig(base_url=base_url), session=session)
+        gateway.UpstreamConfig(base_url=server.base_url))
     sensor = node.Node(node.NodeConfig(), stack.StackEndpoint(
         link.endpoints[0], stack.node_stack_config()), clock)
 
     def step():
         record = sensor.send_observation(pump=gw.process_pending)
         assert record.outcome == "acked"
-    return step
-
-
-def exchange_timing(repeat: int, number: int):
-    """(µs through StoreSession, µs through HttpSession in the caller's thread)."""
-    store = sensorthings.Store()
-    sensorthings.seed_default_entities(store)
-    in_process = median_us(exchange_step(
-        store, "http://sim/v1.0", gateway.StoreSession(store, VirtualClock())), repeat, number)
-    server = sensorthings.BackendServer(store).start()
-    session = gateway.HttpSession()
     try:
-        in_thread = median_us(exchange_step(store, server.base_url, session), repeat, number)
+        return median_us(step, repeat, number)
     finally:
-        session.close()
+        gw.session.close()
         server.stop()
-    return in_process, in_thread
 
 
 def page_timing(rows: int, repeat: int, number: int):
@@ -154,9 +145,8 @@ def main(argv=None) -> int:
         for size in SIZES:
             us = median_us(stack_step(profile, size), args.repeat, args.number)
             print("  %-10s %5d B %19s %10.1f" % (profile, size, "", us))
-    in_process, in_thread = exchange_timing(args.repeat, args.number)
-    print("%-36s %10.1f" % ("NON exchange through StoreSession", in_process))
-    print("%-36s %10.1f" % ("NON exchange, in-thread HTTP hop", in_thread))
+    print("%-36s %10.1f" % ("NON exchange, in-thread HTTP hop",
+                            exchange_timing(args.repeat, args.number)))
     print("%-36s %10s %10s" % ("100-row page through respond", "cold µs", "warm µs"))
     for rows in PAGE_ROWS:
         cold, warm = page_timing(rows, args.repeat, args.number)

@@ -5,10 +5,11 @@ Subcommands: pipeline (end-to-end run), bench (size comparison), serve
 summary from run artifacts).
 
 Exit codes: 0 success, 1 assertion/conservation failure, 2 bad
-configuration, 3 environment failure (bind, I/O).
+configuration, 3 environment failure (bind, I/O, a backend that is not one).
 """
 
 import argparse
+import http.client
 import json
 import os
 import sys
@@ -90,7 +91,7 @@ def cmd_pipeline(args) -> int:
     ))
     try:
         result = run_pipeline(cfg)
-    except OSError as exc:
+    except (OSError, http.client.HTTPException) as exc:
         print("environment error: %s" % exc, file=sys.stderr)
         return EXIT_ENVIRONMENT
     print("summary: sent=%d stored=%d acked=%d failed=%d" % (

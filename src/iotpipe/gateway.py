@@ -199,7 +199,7 @@ class HttpSession:
         self._origin = None     # (scheme, host, port) of the open connection
 
     def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
-        origin, target, host = _split(url)
+        origin, target, host = split_url(url)
         head = "%s %s HTTP/1.1\r\nHost: %s\r\n" % (method, target, host)
         for name, value in (headers or {}).items():
             head += "%s: %s\r\n" % (name, value)
@@ -277,11 +277,11 @@ _UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
 
 
 @functools.lru_cache(maxsize=64)
-def _split(url: str):
+def split_url(url: str):
     """(origin, request target, Host field value) of a URL; the origin is
-    (scheme, host, port)."""
+    (scheme, host, port). Raises ValueError or InvalidURL on a bad URL."""
     parts = urlsplit(url)
-    target = _target(parts)
+    target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
     if _UNSAFE_TARGET.search(target):
         raise http.client.InvalidURL("request target %r is not printable ASCII" % target)
     host = parts.hostname or ""
@@ -355,32 +355,6 @@ def _read_chunked(rfile) -> bytes:
         _read_exactly(rfile, 2)     # the CRLF after the chunk data
     sensorthings.read_fields(rfile)
     return b"".join(chunks)
-
-
-class StoreSession:
-    """In-process session: answers through ``sensorthings.respond``.
-
-    No socket, no thread and no wall clock: receipt times come from ``clock``.
-    The URL's scheme and host are ignored.
-    """
-
-    def __init__(self, store: sensorthings.Store, clock):
-        self.store = store
-        self.clock = clock
-
-    def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
-        status, text, location = sensorthings.respond(
-            self.store, method, _target(urlsplit(url)), data or b"", self.clock.now())
-        return HttpReply(status, {"content-type": "application/json", "location": location},
-                         text.encode("utf-8"))
-
-    def close(self):
-        pass
-
-
-def _target(parts) -> str:
-    """Request target (path and query) of a split URL."""
-    return (parts.path or "/") + ("?" + parts.query if parts.query else "")
 
 
 def _dropped(sock) -> bool:

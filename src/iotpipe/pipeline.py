@@ -5,6 +5,7 @@ an embedded (or external) backend, runs under a virtual clock, and writes
 run artifacts: send records, gateway metrics, journal, and a summary.
 """
 
+import http.client
 import json
 import math
 import os
@@ -51,9 +52,27 @@ class PipelineConfig:
                              % self.loss_probability)
         if not isinstance(self.compress, bool):
             raise ValueError("compress must be true or false, not %r" % (self.compress,))
-        if self.backend_url is not None and not isinstance(self.backend_url, str):
-            raise ValueError("backend_url must be a string, not %r" % (self.backend_url,))
+        if self.backend_url is not None:
+            if not isinstance(self.backend_url, str):
+                raise ValueError("backend_url must be a string, not %r" % (self.backend_url,))
+            try:
+                (scheme, host, _), _, _ = gw.split_url(self.backend_url)
+            except (ValueError, http.client.InvalidURL) as exc:
+                raise ValueError("backend_url %r: %s" % (self.backend_url, exc)) from None
+            if scheme not in ("http", "https") or not host or not host.isascii():
+                raise ValueError("backend_url must be an http or https URL with an ASCII host, "
+                                 "not %r" % self.backend_url)
         nodemod.Reliability(self.confirmable, self.max_retransmit)  # checks max_retransmit
+        # Receipts are stamped by the run's clock; a CON send may wait out every timeout.
+        attempts = self.max_retransmit + 1 if self.confirmable else 0
+        try:    # an int past every float overflows
+            span = self.observations_per_node * (
+                self.period + self.nodes * nodemod.ACK_TIMEOUT * (2.0 ** attempts - 1))
+        except OverflowError:
+            span = math.inf
+        if span > sensorthings.LAST_TIME:
+            raise ValueError("period, nodes, count and max_retransmit could take the run's "
+                             "clock past the year 9999")
 
 
 @dataclass
@@ -75,34 +94,30 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     clock = VirtualClock()
 
     if config.artifacts_dir:
-        os.makedirs(config.artifacts_dir, exist_ok=True)
+        os.makedirs(os.path.join(config.artifacts_dir, "logs"), exist_ok=True)
 
     server = None
-    store = None
-    stored_before = 0
     if config.backend_url is None:
         journal = config.journal_path
         if journal is None and config.artifacts_dir:
             journal = os.path.join(config.artifacts_dir, "journal.jsonl")
         store = sensorthings.Store(journal_path=journal)
         sensorthings.seed_default_entities(store)
-        server = sensorthings.BackendServer(store).start()
+        server = sensorthings.BackendServer(store, clock=clock).start()
         base_url = server.base_url
     else:
         base_url = config.backend_url
-        stored_before = _observation_count(base_url)
 
     metrics_log = None
-    if config.artifacts_dir:
-        os.makedirs(os.path.join(config.artifacts_dir, "logs"), exist_ok=True)
-        metrics_log = open(
-            os.path.join(config.artifacts_dir, "logs", "gateway-metrics.jsonl"),
-            "w", encoding="utf-8",
-        )
-
     gateways = []
     nodes = []
     try:
+        stored_before = _observation_count(base_url)
+        if config.artifacts_dir:
+            metrics_log = open(
+                os.path.join(config.artifacts_dir, "logs", "gateway-metrics.jsonl"),
+                "w", encoding="utf-8",
+            )
         for i in range(config.nodes):
             link = link154.SimulatedLink(link154.LinkConfig(
                 loss_probability=config.loss_probability,
@@ -136,6 +151,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             clock.sleep(config.period)
             for one in nodes:
                 one.send_observation(pump=pump)
+        stored = _observation_count(base_url) - stored_before
     finally:
         for one in gateways:
             one.session.close()
@@ -143,17 +159,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             metrics_log.close()
         if server:
             server.stop()
+            server.store.close()
 
     records = [one.records for one in nodes]
     all_records = [r for per_node in records for r in per_node]
     sent = len(all_records)
     acked = sum(1 for r in all_records if r.outcome == "acked" and r.response_code == "2.01")
     failed = sum(1 for r in all_records if r.outcome == "failed")
-    if store is not None:
-        stored = store.count("Observations")
-        store.close()
-    else:
-        stored = _observation_count(base_url) - stored_before
 
     summary = {
         "sent": sent,
@@ -181,11 +193,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 
 def _observation_count(base_url: str) -> int:
-    """The number of observations the backend at ``base_url`` holds."""
+    """The observations the backend at ``base_url`` holds. OSError when it cannot
+    be reached, ``http.client.HTTPException`` when its reply is not HTTP or not
+    a 200 JSON object with an integer @iot.count."""
     session = gw.HttpSession()  # closes itself if the request fails
     resp = session.request("GET", base_url + "/Observations?$top=0", timeout=5.0)
     session.close()
-    return json.loads(resp.content)["@iot.count"]
+    try:
+        count = json.loads(resp.content)["@iot.count"] if resp.status_code == 200 else None
+    except (ValueError, TypeError, KeyError, RecursionError):   # not a JSON object
+        count = None
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise http.client.HTTPException("%s is not a SensorThings API: GET Observations got "
+                                        "%d, no integer @iot.count" % (base_url, resp.status_code))
+    return count
 
 
 # Drop counters of each gateway's link-side endpoint, reported beside its metrics.
@@ -205,7 +226,6 @@ def _merge_metrics(gateways) -> dict:
 
 def _write_artifacts(config: PipelineConfig, result: PipelineResult):
     logs = os.path.join(config.artifacts_dir, "logs")
-    os.makedirs(logs, exist_ok=True)
     for i, records in enumerate(result.records_per_node):
         path = os.path.join(logs, "sendrecords-node%d.jsonl" % i)
         with open(path, "w", encoding="utf-8") as handle:

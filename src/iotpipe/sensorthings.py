@@ -85,6 +85,8 @@ DEFAULT_DATASTREAM_ID = 1  # target of a bare /Observations POST
 
 _PATH_RE = re.compile(r"^([A-Za-z]+)(?:\((\d+)\))?(?:/([A-Za-z]+))?$")
 
+LAST_TIME = 253402300799.0     # 9999-12-31T23:59:59Z: format_time formats no later time
+
 
 def format_time(epoch: float) -> str:
     dt = datetime.fromtimestamp(epoch, timezone.utc)
@@ -464,12 +466,12 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float):
     """Answer one request: (status, JSON text of the reply body, Location or None).
 
     ``target`` is the request path with its query; ``now`` stamps the receipt
-    time of an ingested observation. The HTTP handler and the gateway's
-    in-process session both answer through here, and neither encodes JSON
-    itself. A GET body is ``json.dumps`` of what ``Store.query`` returns for
-    the path, but joined from cached entity texts, so a page costs O(page)
-    whatever the store's size. The 201 reply to a POST renders the new
-    entity, which fills its cache entry.
+    time of an ingested observation. The HTTP server answers through here,
+    on either transport, and encodes no JSON itself. A GET body is
+    ``json.dumps`` of what ``Store.query`` returns for the path, but joined
+    from cached entity texts, so a page costs O(page) whatever the store's
+    size. The 201 reply to a POST renders the new entity, which fills its
+    cache entry.
     """
     try:
         if method not in ("GET", "POST"):
@@ -599,13 +601,13 @@ def _serve_one(rfile, wfile, store, server) -> bool:
     to ``wfile``; False once the connection is to be closed.
 
     Both transports serve through here: the threaded handler over a socket
-    and ``BackendServer.answer`` in the caller's thread. ``server`` gives the
-    Date field. A truncated request raises ConnectionError.
+    and ``BackendServer.answer`` in the caller's thread. ``server.now()``
+    stamps the receipt and the Date. A truncated request raises ConnectionError.
     """
     line = rfile.readline(MAX_LINE + 1)
     if not line:
         return False
-    now = time.time()
+    now = server.now()
     try:
         if len(line) > MAX_LINE:
             raise _Refused(400, "request line over %d bytes" % MAX_LINE)
@@ -669,8 +671,9 @@ class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
     _date = (None, "")      # (epoch second, its IMF-fixdate)
 
-    def __init__(self, address, handler):
+    def __init__(self, address, handler, now):
         super().__init__(address, handler)
+        self.now = now              # () -> epoch seconds, read once per request
         self.connections = set()    # accepted sockets, until their handler closes them
 
     def process_request(self, request, client_address):
@@ -700,13 +703,14 @@ class BackendServer:
     """Threaded HTTP server wrapping one Store.
 
     Started, it also answers connections from ``gateway.HttpSession``s of
-    this process in their own thread (see ``LOCAL_SERVERS``).
+    this process in their own thread (see ``LOCAL_SERVERS``). Receipt times
+    and the Date field come from ``clock.now``, or else from the wall clock.
     """
 
-    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0, clock=None):
         self.store = store
         handler = type("Handler", (_Handler,), {"store": store})
-        self._httpd = _Server((host, port), handler)
+        self._httpd = _Server((host, port), handler, time.time if clock is None else clock.now)
         self._thread = None
         self._stopping = False
 

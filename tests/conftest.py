@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import pytest
 from hypothesis import strategies as st
 
@@ -38,10 +41,24 @@ def seeded_store():
 
 
 @pytest.fixture
-def backend(seeded_store):
-    server = sensorthings.BackendServer(seeded_store).start()
-    yield server
-    server.stop()
+def serve():
+    """``serve(store, clock=None)`` starts a BackendServer on ``store``, on
+    ``clock`` or else the wall clock, and returns it; every server started
+    is stopped after the test."""
+    servers = []
+
+    def start(store, clock=None):
+        servers.append(sensorthings.BackendServer(store, clock=clock).start())
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture
+def backend(serve, seeded_store):
+    return serve(seeded_store)
 
 
 def hostile_frames(cfg):
@@ -86,3 +103,58 @@ def hostile_frames(cfg):
                   sequence, st.one_of(body, body.map(lambda b: prefix + b))),
     )
     return st.lists(frame, max_size=6)
+
+
+class ScriptedUpstream:
+    """A listener that answers with fixed raw replies.
+
+    ``script`` holds one list of replies per connection it accepts, in order.
+    Each request read on a connection gets that connection's next reply, and
+    the connection is closed after its last one. ``requests`` collects the
+    raw requests, heads and bodies, as received.
+    """
+
+    def __init__(self, script):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(5)
+        self.url = "http://127.0.0.1:%d/v1.0" % self.listener.getsockname()[1]
+        self.requests = []
+        self._thread = threading.Thread(target=self._serve, args=(script,), daemon=True)
+        self._thread.start()
+
+    def _serve(self, script):
+        try:
+            for replies in script:
+                conn, _ = self.listener.accept()
+                with conn, conn.makefile("rb") as rfile:
+                    for reply in replies:
+                        head, length = b"", 0
+                        while not head.endswith(b"\r\n\r\n"):
+                            line = rfile.readline()
+                            if not line:
+                                return
+                            if line.lower().startswith(b"content-length:"):
+                                length = int(line.split(b":")[1])
+                            head += line
+                        self.requests.append(head + rfile.read(length))
+                        conn.sendall(reply)
+        except OSError:
+            pass
+
+    def close(self):
+        self._thread.join(10)       # accept() gives up after 5 s
+        self.listener.close()
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def scripted():
+    upstreams = []
+
+    def start(*script):
+        upstreams.append(ScriptedUpstream(script))
+        return upstreams[-1]
+
+    yield start
+    for upstream in upstreams:
+        upstream.close()

@@ -14,7 +14,7 @@ import iotpipe
 from iotpipe import coap, gateway, link154, node, sensorthings, sizebench, stack
 from iotpipe.clock import VirtualClock
 from iotpipe.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import hostile_frames
+from tests.conftest import ScriptedUpstream, hostile_frames
 
 UPSTREAM = gateway.UpstreamConfig(base_url="http://192.0.2.1/v1.0")
 
@@ -150,30 +150,10 @@ def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
 
 
 # -- end-to-end through a live backend --------------------------------------
-# A started BackendServer answers the HttpSessions of this process in their
-# own thread. TestOverTcp, at the end of this file, reruns every test here
-# that pairs the two with the server taken out of LOCAL_SERVERS, so that the
-# same exchanges go over loopback TCP.
-
-@pytest.fixture
-def serve():
-    """``serve(store)`` starts a BackendServer on ``store`` and returns it;
-    every server started is stopped after the test."""
-    servers = []
-
-    def start(store):
-        servers.append(sensorthings.BackendServer(store).start())
-        return servers[-1]
-
-    yield start
-    for server in servers:
-        server.stop()
-
-
-@pytest.fixture
-def backend(serve, seeded_store):
-    return serve(seeded_store)
-
+# A started BackendServer (the ``serve`` and ``backend`` fixtures) answers the
+# HttpSessions of this process in their own thread. TestOverTcp, at the end
+# of this file, reruns every test here that pairs the two with the server
+# taken out of LOCAL_SERVERS, so that the same exchanges go over loopback TCP.
 
 def over_tcp(server) -> bool:
     """Whether HttpSessions reach ``server`` over TCP, not in their thread."""
@@ -185,14 +165,11 @@ def build_pair():
     """Builds (node endpoint, gateway) pairs; closes their sessions afterwards."""
     gateways = []
 
-    def build(base_url, loss=0.0, seed=0, timeout=5.0, session=None):
+    def build(base_url, loss=0.0, seed=0, timeout=5.0):
         link = link154.SimulatedLink(link154.LinkConfig(loss_probability=loss, seed=seed))
         node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config())
         gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config())
-        gw = gateway.Gateway(
-            gw_ep, gateway.UpstreamConfig(base_url=base_url, timeout=timeout),
-            session=session,
-        )
+        gw = gateway.Gateway(gw_ep, gateway.UpstreamConfig(base_url=base_url, timeout=timeout))
         gateways.append(gw)
         return node_ep, gw
 
@@ -313,26 +290,29 @@ def test_any_frames_before_a_request_never_raise_and_it_is_answered(profile, dat
     clock = VirtualClock()
     store = sensorthings.Store()
     sensorthings.seed_default_entities(store)
+    server = sensorthings.BackendServer(store, clock=clock).start()
     link = link154.SimulatedLink()
     gw = gateway.Gateway(
         stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config(profile=profile)),
-        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-        session=gateway.StoreSession(store, clock))
+        gateway.UpstreamConfig(base_url=server.base_url))
     sensor = node.Node(node.NodeConfig(), stack.StackEndpoint(link.endpoints[0], node_cfg), clock)
-    for wire in frames:
-        if len(wire) <= link154.MAX_FRAME:   # the link carries no longer frame
-            link.endpoints[0].send(wire)
-    record = sensor.send_observation(pump=gw.process_pending)
+    try:
+        for wire in frames:
+            if len(wire) <= link154.MAX_FRAME:   # the link carries no longer frame
+                link.endpoints[0].send(wire)
+        record = sensor.send_observation(pump=gw.process_pending)
+    finally:
+        gw.session.close()
+        server.stop()
     assert record.outcome == "acked" and record.response_code == "2.01"
 
 
-def test_non_exchange_puts_two_frames_on_the_link(seeded_store):
+def test_non_exchange_puts_two_frames_on_the_link(serve, seeded_store):
     clock = VirtualClock()
     link = link154.SimulatedLink()
     gw = gateway.Gateway(
         stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
-        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-        session=gateway.StoreSession(seeded_store, clock))
+        gateway.UpstreamConfig(base_url=serve(seeded_store, clock).base_url))
     sensor = node.Node(node.NodeConfig(), stack.StackEndpoint(
         link.endpoints[0], stack.node_stack_config()), clock)
     record = sensor.send_observation(pump=gw.process_pending)
@@ -373,6 +353,19 @@ def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_p
     assert backend.store.count("Observations") == 50
     assert len(connects) == 1
     assert len(accepted) == (1 if over_tcp(backend) else 0)
+
+
+def test_a_server_on_a_clock_stamps_receipt_and_date_from_it(serve, seeded_store):
+    server = serve(seeded_store, VirtualClock(86400.5))
+    session = gateway.HttpSession()
+    try:
+        reply = session.request("POST", server.base_url + "/Observations",
+                                data=b'{"result":1}', timeout=5.0)
+    finally:
+        session.close()
+    assert reply.status_code == 201
+    assert reply.headers["date"] == "Fri, 02 Jan 1970 00:00:00 GMT"
+    assert seeded_store.query("Observations(1)")["resultTime"] == "1970-01-02T00:00:00.500Z"
 
 
 def test_session_reply_headers_are_case_insensitive(backend):
@@ -478,13 +471,10 @@ def test_silent_upstream_times_out_with_5_04(build_pair):
     assert elapsed < 2.0
 
 
-@pytest.mark.parametrize("in_process", [False, True])
-def test_coap_put_is_4_05(backend, build_pair, in_process):
-    if in_process:
-        session = gateway.StoreSession(backend.store, VirtualClock())
-        node_ep, gw = build_pair("http://sim/v1.0", session=session)
-    else:
-        node_ep, gw = build_pair(backend.base_url)
+@pytest.mark.parametrize("virtual_clock", [False, True])
+def test_coap_put_is_4_05(serve, backend, build_pair, virtual_clock):
+    server = serve(backend.store, VirtualClock()) if virtual_clock else backend
+    node_ep, gw = build_pair(server.base_url)
     put = coap.CoapMessage(coap.MsgType.CON, coap.METHOD_PUT, 7, token=b"\x07",
                            options=[(coap.OPT_URI_PATH, b"Things(1)")], payload=b"{}")
     node_ep.send(coap.encode(put), now=0.0)
@@ -496,9 +486,8 @@ def test_coap_put_is_4_05(backend, build_pair, in_process):
 
 @pytest.mark.parametrize("options", [[(coap.OPT_URI_PATH, b"\xff")], []],
                          ids=["non-utf8-path", "no-path"])
-def test_bad_uri_path_is_4_00_and_counted(seeded_store, build_pair, options):
-    session = gateway.StoreSession(seeded_store, VirtualClock())
-    node_ep, gw = build_pair("http://sim/v1.0", session=session)
+def test_bad_uri_path_is_4_00_and_counted(serve, seeded_store, build_pair, options):
+    node_ep, gw = build_pair(serve(seeded_store, VirtualClock()).base_url)
     get = coap.CoapMessage(coap.MsgType.NON, coap.METHOD_GET, 8, token=b"\x08",
                            options=options)
     node_ep.send(coap.encode(get), now=0.0)
@@ -514,13 +503,12 @@ def test_bad_uri_path_is_4_00_and_counted(seeded_store, build_pair, options):
 OVERSIZE_RESULT = [1000 + i for i in range(240)]
 
 
-def oversize_get(store, build_pair, msg_type, sends):
+def oversize_get(serve, store, build_pair, msg_type, sends):
     """Send one GET of a stored 240-value Observations(1) ``sends`` times,
     as a fresh request and then its retransmissions; returns the node
     endpoint and the gateway."""
     store.ingest_observation(1, {"result": OVERSIZE_RESULT}, receipt_time=0.0)
-    node_ep, gw = build_pair("http://sim/v1.0",
-                             session=gateway.StoreSession(store, VirtualClock()))
+    node_ep, gw = build_pair(serve(store, VirtualClock()).base_url)
     get = coap.encode(coap.CoapMessage(msg_type, coap.METHOD_GET, 9, token=b"\x09",
                                        options=[(coap.OPT_URI_PATH, b"Observations(1)")]))
     for attempt in range(sends):
@@ -529,16 +517,16 @@ def oversize_get(store, build_pair, msg_type, sends):
     return node_ep, gw
 
 
-def test_oversize_reply_to_a_non_request_is_a_counted_drop(seeded_store, build_pair):
-    node_ep, gw = oversize_get(seeded_store, build_pair, coap.MsgType.NON, sends=1)
+def test_oversize_reply_to_a_non_request_is_a_counted_drop(serve, seeded_store, build_pair):
+    node_ep, gw = oversize_get(serve, seeded_store, build_pair, coap.MsgType.NON, sends=1)
     assert node_ep.receive(1.0) == []
     assert seeded_store.count("Observations") == 1
     assert gw.metrics.oversize_replies == 1
     assert gw.metrics.responses_sent == 0
 
 
-def test_oversize_reply_to_con_retransmissions_stores_once(seeded_store, build_pair):
-    node_ep, gw = oversize_get(seeded_store, build_pair, coap.MsgType.CON, sends=5)
+def test_oversize_reply_to_con_retransmissions_stores_once(serve, seeded_store, build_pair):
+    node_ep, gw = oversize_get(serve, seeded_store, build_pair, coap.MsgType.CON, sends=5)
     assert node_ep.receive(5.0) == []
     assert seeded_store.count("Observations") == 1
     assert gw.metrics.requests_forwarded == 1
@@ -548,61 +536,6 @@ def test_oversize_reply_to_con_retransmissions_stores_once(seeded_store, build_p
 
 
 # -- the client against a scripted upstream ----------------------------------
-
-class ScriptedUpstream:
-    """A listener that answers with fixed raw replies.
-
-    ``script`` holds one list of replies per connection it accepts, in order.
-    Each request read on a connection gets that connection's next reply, and
-    the connection is closed after its last one. ``requests`` collects the
-    raw requests, heads and bodies, as received.
-    """
-
-    def __init__(self, script):
-        self.listener = socket.create_server(("127.0.0.1", 0))
-        self.listener.settimeout(5)
-        self.url = "http://127.0.0.1:%d/v1.0" % self.listener.getsockname()[1]
-        self.requests = []
-        self._thread = threading.Thread(target=self._serve, args=(script,), daemon=True)
-        self._thread.start()
-
-    def _serve(self, script):
-        try:
-            for replies in script:
-                conn, _ = self.listener.accept()
-                with conn, conn.makefile("rb") as rfile:
-                    for reply in replies:
-                        head, length = b"", 0
-                        while not head.endswith(b"\r\n\r\n"):
-                            line = rfile.readline()
-                            if not line:
-                                return
-                            if line.lower().startswith(b"content-length:"):
-                                length = int(line.split(b":")[1])
-                            head += line
-                        self.requests.append(head + rfile.read(length))
-                        conn.sendall(reply)
-        except OSError:
-            pass
-
-    def close(self):
-        self._thread.join(10)       # accept() gives up after 5 s
-        self.listener.close()
-        assert not self._thread.is_alive()
-
-
-@pytest.fixture
-def scripted():
-    upstreams = []
-
-    def start(*script):
-        upstreams.append(ScriptedUpstream(script))
-        return upstreams[-1]
-
-    yield start
-    for upstream in upstreams:
-        upstream.close()
-
 
 CREATED = b"HTTP/1.1 201 Created\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
 
@@ -736,77 +669,21 @@ def test_request_head_is_the_papers_http_header_block(scripted, build_pair):
     assert head == expected.replace(b"Connection: close\r\n", b"")
 
 
-# -- the in-process session --------------------------------------------------
+# -- determinism ---------------------------------------------------------------
 
-PINNED = b',"phenomenonTime":"2018-04-01T00:00:00Z","resultTime":"2018-04-01T00:00:01Z"}'
-SEAM_REQUESTS = [
-    ("GET", "", b""),
-    ("GET", "/Things(1)", b""),
-    ("GET", "/Things(1)/Locations", b""),
-    ("GET", "/Things(1)/Datastreams", b""),
-    ("GET", "/Datastreams(1)/Observations?$top=1&$skip=1", b""),
-    ("GET", "/Observations(2)/Datastream", b""),
-    ("POST", "/Observations", b'{"result":1' + PINNED),
-    ("POST", "/Observations", b'{"result":2,"Datastream":{"@iot.id":1}' + PINNED),
-    ("POST", "/Datastreams(1)/Observations", b'{"result":3' + PINNED),
-    ("POST", "/Sensors", b'{"name":"s"}'),
-    ("GET", "/Observations?%24top=2&$skip=3", b""),
-    ("GET", "/Datastreams(99)", b""),
-    ("GET", "/Observations?$top=-1", b""),
-    ("GET", "/Things(1)/Bogus", b""),
-    ("POST", "/Observations", b"not json"),
-    ("POST", "/Observations", b'{"Datastream":{"@iot.id":9},"result":1}'),
-    ("POST", "/Things(1)", b"{}"),
-    ("PUT", "/Things(1)", b"{}"),
-    ("DELETE", "/Things(1)", b""),
-]
-
-
-def seam_replies(session, base_url):
-    """(status, Location, body) of each of SEAM_REQUESTS on a fresh seeded store."""
-    replies = []
-    for method, path, body in SEAM_REQUESTS:
-        reply = session.request(method, base_url + path, data=body, timeout=5.0)
-        replies.append((reply.status_code, reply.headers.get("location"), reply.content))
-    return replies
-
-
-def seeded_with_observations():
-    store = sensorthings.Store()
-    sensorthings.seed_default_entities(store)
-    for i in range(3):
-        store.ingest_observation(1, {"result": i}, receipt_time=1000.0 + i)
-    return store
-
-
-def test_store_session_answers_like_the_http_backend(serve):
-    server = serve(seeded_with_observations())
-    session = gateway.HttpSession()
-    try:
-        over_http = seam_replies(session, server.base_url)
-    finally:
-        session.close()
-    in_process = seam_replies(
-        gateway.StoreSession(seeded_with_observations(), VirtualClock()), "http://sim/v1.0")
-    assert in_process == over_http
-    assert {status for status, _, _ in over_http} == {200, 201, 400, 404, 405}
-
-
-def run_in_process(journal, seed):
-    """2 CON nodes at 30 % loss, each through its own gateway
-    to one StoreSession on the nodes' clock; returns the send records."""
+def run_in_process(serve, journal, seed):
+    """2 CON nodes at 30 % loss, each through its own gateway and session to
+    one BackendServer on the nodes' clock, reached in this thread; returns
+    the send records."""
     clock = VirtualClock()
     store = sensorthings.Store(journal_path=str(journal))
     sensorthings.seed_default_entities(store)
-    session = gateway.StoreSession(store, clock)
+    upstream = gateway.UpstreamConfig(base_url=serve(store, clock).base_url)
     gateways, nodes = [], []
     for i in range(2):
         link = link154.SimulatedLink(link154.LinkConfig(loss_probability=0.3, seed=seed + i))
         gateways.append(gateway.Gateway(
-            stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
-            gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-            session=session,
-        ))
+            stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()), upstream))
         config = node.NodeConfig(reliability=node.Reliability(confirmable=True))
         node_ep = stack.StackEndpoint(link.endpoints[0], stack.node_stack_config())
         nodes.append(node.Node(config, node_ep, clock, node_id=i))
@@ -819,13 +696,15 @@ def run_in_process(journal, seed):
         clock.sleep(10.0)
         for one in nodes:
             one.send_observation(pump=pump)
+    for one in gateways:
+        one.session.close()
     store.close()
     return [record for one in nodes for record in one.records]
 
 
-def test_same_seed_in_process_runs_write_identical_journals(tmp_path):
-    records = run_in_process(tmp_path / "a.jsonl", seed=7)
-    run_in_process(tmp_path / "b.jsonl", seed=7)
+def test_same_seed_in_process_runs_write_identical_journals(serve, tmp_path):
+    records = run_in_process(serve, tmp_path / "a.jsonl", seed=7)
+    run_in_process(serve, tmp_path / "b.jsonl", seed=7)
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     assert any(r.attempts > 1 for r in records)  # the loss made nodes retransmit
     assert sum(r.outcome == "acked" for r in records) > 0
@@ -855,8 +734,8 @@ class TestOverTcp:
 
     @pytest.fixture
     def serve(self, serve):
-        def start(store):
-            server = serve(store)
+        def start(store, clock=None):
+            server = serve(store, clock)
             del sensorthings.LOCAL_SERVERS[server.address]
             return server
         return start
@@ -873,6 +752,8 @@ class TestOverTcp:
     test_retransmission_deduplicated = staticmethod(test_retransmission_deduplicated)
     test_exchanges_share_one_keep_alive_connection = staticmethod(
         test_exchanges_share_one_keep_alive_connection)
+    test_a_server_on_a_clock_stamps_receipt_and_date_from_it = staticmethod(
+        test_a_server_on_a_clock_stamps_receipt_and_date_from_it)
     test_session_reply_headers_are_case_insensitive = staticmethod(
         test_session_reply_headers_are_case_insensitive)
     test_next_observation_after_session_close_is_stored = staticmethod(
@@ -883,5 +764,3 @@ class TestOverTcp:
     test_a_failing_handler_answers_5_02_and_the_next_exchange_is_stored = staticmethod(
         test_a_failing_handler_answers_5_02_and_the_next_exchange_is_stored)
     test_coap_put_is_4_05 = staticmethod(test_coap_put_is_4_05)
-    test_store_session_answers_like_the_http_backend = staticmethod(
-        test_store_session_answers_like_the_http_backend)

@@ -73,32 +73,35 @@ def test_send_record_json_round_trips():
 CON = node.NodeConfig(reliability=node.Reliability(confirmable=True))
 
 
-def exchange_rig(link_config, config=CON):
-    """A node (CON unless ``config`` says otherwise) and a gateway on one
-    link, the gateway answering from an in-process store on the node's
-    clock. Returns the node, the gateway, the store, the pump to pass the
-    node and the list of times it was called."""
-    clock = VirtualClock(100.0)
-    link = link154.SimulatedLink(link_config)
-    store = sensorthings.Store()
-    sensorthings.seed_default_entities(store)
-    gw = gateway.Gateway(
-        stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
-        gateway.UpstreamConfig(base_url="http://sim/v1.0"),
-        session=gateway.StoreSession(store, clock),
-    )
-    sensor = node.Node(config, stack.StackEndpoint(link.endpoints[0], stack.node_stack_config()),
-                       clock)
-    pumps = []
+@pytest.fixture
+def exchange_rig(serve):
+    """``exchange_rig(link_config, config=CON)``: a node (CON unless
+    ``config`` says otherwise) and a gateway on one link, the gateway
+    answering from a BackendServer on the node's clock in its own thread.
+    Returns the node, the gateway, the store, the pump to pass the node and
+    the list of times it was called."""
+    def build(link_config, config=CON):
+        clock = VirtualClock(100.0)
+        link = link154.SimulatedLink(link_config)
+        store = sensorthings.Store()
+        sensorthings.seed_default_entities(store)
+        gw = gateway.Gateway(
+            stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config()),
+            gateway.UpstreamConfig(base_url=serve(store, clock).base_url),
+        )
+        sensor = node.Node(config, stack.StackEndpoint(
+            link.endpoints[0], stack.node_stack_config()), clock)
+        pumps = []
 
-    def pump(now):
-        pumps.append(now)
-        gw.process_pending(now)
+        def pump(now):
+            pumps.append(now)
+            gw.process_pending(now)
 
-    return sensor, gw, store, pump, pumps
+        return sensor, gw, store, pump, pumps
+    return build
 
 
-def test_non_send_pumps_once_at_its_send_time():
+def test_non_send_pumps_once_at_its_send_time(exchange_rig):
     sensor, _gw, store, pump, pumps = exchange_rig(link154.LinkConfig(), node.NodeConfig())
     t0 = sensor.clock.now()
     record = sensor.send_observation(pump=pump)
@@ -108,7 +111,7 @@ def test_non_send_pumps_once_at_its_send_time():
     assert store.count("Observations") == 1
 
 
-def test_lost_non_request_fails_after_one_attempt_and_one_pump():
+def test_lost_non_request_fails_after_one_attempt_and_one_pump(exchange_rig):
     sensor, _gw, store, pump, pumps = exchange_rig(link154.LinkConfig(loss_probability=1.0),
                                                    node.NodeConfig())
     t0 = sensor.clock.now()
@@ -119,7 +122,7 @@ def test_lost_non_request_fails_after_one_attempt_and_one_pump():
     assert store.count("Observations") == 0
 
 
-def test_con_wait_pumps_at_most_twice_per_attempt():
+def test_con_wait_pumps_at_most_twice_per_attempt(exchange_rig):
     # One poll after each send and one at its deadline.
     sensor, _gw, _store, pump, pumps = exchange_rig(
         link154.LinkConfig(loss_probability=0.3, seed=4))
@@ -132,7 +135,7 @@ def test_con_wait_pumps_at_most_twice_per_attempt():
     assert sum(r.outcome == "acked" for r in sensor.records) > 150
 
 
-def test_con_wait_wakes_for_each_frame_in_flight():
+def test_con_wait_wakes_for_each_frame_in_flight(exchange_rig):
     sensor, _gw, store, pump, pumps = exchange_rig(link154.LinkConfig(latency=0.3))
     t0 = sensor.clock.now()
     record = sensor.send_observation(pump=pump)
@@ -142,7 +145,7 @@ def test_con_wait_wakes_for_each_frame_in_flight():
     assert store.count("Observations") == 1
 
 
-def test_reply_slower_than_the_ack_timeout_acks_the_retransmitted_exchange():
+def test_reply_slower_than_the_ack_timeout_acks_the_retransmitted_exchange(exchange_rig):
     # A 3-s round trip: the retransmission at t0 + 2 s is still in flight
     # when the reply to the first send arrives at t0 + 3 s.
     sensor, gw, store, pump, _pumps = exchange_rig(link154.LinkConfig(latency=1.5))
