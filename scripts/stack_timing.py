@@ -3,9 +3,9 @@
 
 Prints the median µs of one ``StackEndpoint.send`` plus the peer's
 ``receive`` at 15, 300 and 1377 B of payload for each frame profile, and of
-one NON observation exchange on the virtual clock: node, gateway and
-``HttpSession`` to a started ``BackendServer`` on an in-memory store, which
-answers it in the caller's thread. Each figure is the median over
+one NON observation exchange on the virtual clock: node, gateway and its
+``http11.HttpSession`` to a started ``sensorthings.BackendServer`` on an
+in-memory store, which answers it in the caller's thread. Each figure is the median over
 ``--repeat`` rounds of the mean of ``--number`` calls. Last, it prints the
 µs of the newest 100-row page of ``Datastreams(1)/Observations`` read
 through ``sensorthings.respond`` at 2k and 50k stored rows: cold (the median

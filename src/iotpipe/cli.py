@@ -51,34 +51,28 @@ class ConfigError(Exception):
     pass
 
 
+# config-file and -o keys -> PipelineConfig fields; each defaults to ``args.<key>``
+CONFIG_KEYS = {"mode": "confirmable", "nodes": "nodes", "count": "observations_per_node",
+               "period": "period", "loss": "loss_probability", "seed": "seed",
+               "max_retransmit": "max_retransmit", "compress": "compress",
+               "backend_url": "backend_url"}
+
+
 def cmd_pipeline(args) -> int:
-    # config-file and -o keys, with the command-line values they override
-    values = {"mode": args.mode, "nodes": args.nodes, "count": args.count,
-              "period": args.period, "loss": args.loss, "seed": args.seed,
-              "max_retransmit": args.max_retransmit, "compress": not args.no_compress,
-              "backend_url": args.backend_url}
+    values = {key: getattr(args, key) for key in CONFIG_KEYS}
     try:
         file_cfg = _load_config(args.config, args.override)
-        unknown = sorted(set(file_cfg) - set(values))
+        unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
         if unknown:
             raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
         values.update(file_cfg)
         mode = str(values["mode"]).upper()
         if mode not in ("NON", "CON"):
             raise ConfigError("mode must be NON or CON")
+        values["mode"] = mode == "CON"
         try:
-            cfg = PipelineConfig(
-                nodes=values["nodes"],
-                observations_per_node=values["count"],
-                period=values["period"],
-                loss_probability=values["loss"],
-                seed=values["seed"],
-                confirmable=mode == "CON",
-                max_retransmit=values["max_retransmit"],
-                compress=values["compress"],
-                backend_url=values["backend_url"],
-                artifacts_dir=args.artifacts,
-            )
+            cfg = PipelineConfig(artifacts_dir=args.artifacts,
+                                 **{CONFIG_KEYS[key]: value for key, value in values.items()})
         except ValueError as exc:
             raise ConfigError("bad config value: %s" % exc)
     except ConfigError as exc:
@@ -213,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["NON", "CON"], default="NON")
     p.add_argument("--max-retransmit", type=int, default=4)
-    p.add_argument("--no-compress", action="store_true",
+    p.add_argument("--no-compress", dest="compress", action="store_false",
                    help="send uncompressed IPv6/UDP over the link")
     p.add_argument("--backend-url", help="attach to an external backend")
     p.add_argument("--artifacts", help="directory for logs and summary")

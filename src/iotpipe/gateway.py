@@ -7,19 +7,13 @@ byte-identical, except that a 2.01 to a POST names the created resource in
 Location-Path options instead of carrying it.
 """
 
-import functools
 import http.client
-import io
 import json
-import re
-import select
-import socket
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 from dataclasses import dataclass
 from urllib.parse import unquote_to_bytes, urlsplit
 
-from . import coap, lowpan, sensorthings
-from .sensorthings import MAX_LINE
+from . import coap, http11, lowpan
 from .stack import StackEndpoint
 
 
@@ -74,8 +68,23 @@ class ProxyMapping:
 
 @dataclass
 class UpstreamConfig:
+    """The backend's base URL, checked here, and the seconds to wait for a reply."""
+
     base_url: str
     timeout: float = 5.0
+
+    def __post_init__(self):
+        if not isinstance(self.base_url, str):
+            raise ValueError("upstream URL must be a string, not %r" % (self.base_url,))
+        try:
+            (scheme, host, _), _, _ = http11.split_url(self.base_url)
+        except (ValueError, http.client.InvalidURL) as exc:
+            raise ValueError("upstream URL %r: %s" % (self.base_url, exc)) from None
+        if scheme not in ("http", "https") or not host or not host.isascii():
+            raise ValueError("upstream URL %r is not http or https with an ASCII host"
+                             % self.base_url)
+        parts = urlsplit(self.base_url)     # what a Location under the base starts with
+        self.location_base = scheme, parts.netloc.lower(), parts.path.rstrip("/") + "/"
 
 
 @dataclass
@@ -84,10 +93,6 @@ class HttpRequestModel:
     url: str
     headers: dict
     body: bytes
-
-
-# What a session's ``request`` returns; ``headers`` is keyed by lower-case name.
-HttpReply = namedtuple("HttpReply", "status_code headers content")
 
 
 def translate_request(msg: coap.CoapMessage, upstream: UpstreamConfig) -> HttpRequestModel:
@@ -110,7 +115,7 @@ def translate_request(msg: coap.CoapMessage, upstream: UpstreamConfig) -> HttpRe
     return HttpRequestModel(method=method, url=url, headers=headers, body=msg.payload)
 
 
-def translate_response(resp: HttpReply, request: coap.CoapMessage,
+def translate_response(resp: http11.HttpReply, request: coap.CoapMessage,
                        upstream: UpstreamConfig) -> coap.CoapMessage:
     """CoAP reply to ``request`` from what a session's ``request`` returned.
 
@@ -121,7 +126,7 @@ def translate_response(resp: HttpReply, request: coap.CoapMessage,
     code = STATUS_CODES.get(resp.status_code, FALLBACK_CODE)
     if resp.status_code == 201 and request.code == coap.METHOD_POST:
         return _reply_to(request, code,
-                         _location_path(resp.headers.get("location"), upstream.base_url))
+                         _location_path(resp.headers.get("location"), upstream))
     options = []
     body = resp.content or b""
     if body:
@@ -132,13 +137,13 @@ def translate_response(resp: HttpReply, request: coap.CoapMessage,
     return _reply_to(request, code, options, body)
 
 
-def _location_path(location, base_url: str) -> list:
+def _location_path(location, upstream: UpstreamConfig) -> list:
     """Location-Path options naming an HTTP ``Location`` (a path or an
     absolute URL) relative to the upstream base; none when ``location`` is
     missing, has a query or fragment, or does not lie under the base."""
     if not location or "?" in location or "#" in location:
         return []
-    scheme, netloc, prefix = _base(base_url)
+    scheme, netloc, prefix = upstream.location_base
     if not location.startswith("/"):
         parts = urlsplit(location)
         if (parts.scheme, parts.netloc.lower()) != (scheme, netloc):
@@ -148,13 +153,6 @@ def _location_path(location, base_url: str) -> list:
         return []
     return [(coap.OPT_LOCATION_PATH, unquote_to_bytes(segment))
             for segment in location[len(prefix):].split("/")]
-
-
-@functools.lru_cache(maxsize=64)
-def _base(base_url: str):
-    """(scheme, host and port, path prefix with a trailing slash) of a base URL."""
-    parts = urlsplit(base_url)
-    return parts.scheme, parts.netloc.lower(), parts.path.rstrip("/") + "/"
 
 
 def _reply_to(request: coap.CoapMessage, code: tuple, options=(), payload=b""):
@@ -168,204 +166,6 @@ def _reply_to(request: coap.CoapMessage, code: tuple, options=(), payload=b""):
         options=list(options),
         payload=payload,
     )
-
-
-class HttpSession:
-    """Keep-alive HTTP/1.1 client for the upstream hop, on plain sockets.
-
-    Speaks the subset the hop needs. Each request goes out in one send: the
-    request line, ``Host``, the caller's headers and ``Content-Length``. A
-    reply is framed by ``Content-Length``, by chunked coding or by the end of
-    the connection; a 1xx reply before it is skipped. Every head is read by
-    ``sensorthings.read_fields``. A malformed reply raises an
-    ``http.client.HTTPException``, and one cut off within its head raises
-    ConnectionAbortedError.
-
-    Opens one connection on first use and reuses it. A connection the server
-    has closed while idle is replaced before anything is sent. Any transport
-    error closes the connection, so the next call reconnects; nothing is
-    retried, because a POST may already have been stored. Proxy settings in
-    the environment are not read.
-
-    An ``http`` origin served by a started ``sensorthings.BackendServer`` of
-    this process gets an in-thread connection instead of a socket: the same
-    request bytes are answered by the server's own serve function in the
-    caller's thread, and the reply is read by the same parser.
-    """
-
-    def __init__(self):
-        self._sock = None       # the open connection: a socket, or an _InThread
-        self._rfile = None      # the one buffered reader of the open connection
-        self._origin = None     # (scheme, host, port) of the open connection
-
-    def request(self, method, url, data=None, headers=None, timeout=None) -> HttpReply:
-        origin, target, host = split_url(url)
-        head = "%s %s HTTP/1.1\r\nHost: %s\r\n" % (method, target, host)
-        for name, value in (headers or {}).items():
-            head += "%s: %s\r\n" % (name, value)
-        if data is not None:
-            head += "Content-Length: %d\r\n" % len(data)
-        message = (head + "\r\n").encode("latin-1") + (data or b"")
-
-        if self._sock is not None and (origin != self._origin or _dropped(self._sock)):
-            self.close()
-        try:
-            if self._sock is None:
-                self._connect(origin, timeout)
-            else:
-                self._sock.settimeout(timeout)
-            self._sock.sendall(message)
-            reply, keep_alive = _read_reply(self._rfile)
-        except (OSError, http.client.HTTPException):
-            self.close()
-            raise
-        if not keep_alive:
-            self.close()
-        return reply
-
-    def _connect(self, origin, timeout):
-        scheme, hostname, port = origin
-        https = scheme == "https"
-        address = (hostname, port or (443 if https else 80))
-        server = None if https else sensorthings.LOCAL_SERVERS.get(address)
-        if server is not None:
-            conn = _InThread(server)
-            self._sock, self._rfile, self._origin = conn, conn.rfile, origin
-            return
-        sock = socket.create_connection(address, timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if https:
-                import ssl
-                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=hostname)
-        except OSError:
-            sock.close()
-            raise
-        self._sock, self._rfile, self._origin = sock, sock.makefile("rb"), origin
-
-    def close(self):
-        if self._sock is not None:
-            self._rfile.close()
-            self._sock.close()
-            self._sock = self._rfile = None
-
-
-class _InThread:
-    """A connection to a ``BackendServer`` of this process with no socket:
-    ``sendall`` has the server answer the request from one buffer into
-    ``rfile``, which then holds the reply bytes, and nothing blocks."""
-
-    def __init__(self, server):
-        self._server = server
-        self.rfile = io.BytesIO()
-
-    def sendall(self, message: bytes):
-        reply = self.rfile
-        reply.seek(0)
-        reply.truncate()
-        self._server.answer(io.BytesIO(message), reply)
-        reply.seek(0)
-
-    def settimeout(self, timeout):
-        pass
-
-    def close(self):    # the session closes ``rfile``
-        pass
-
-
-_UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
-
-
-@functools.lru_cache(maxsize=64)
-def split_url(url: str):
-    """(origin, request target, Host field value) of a URL; the origin is
-    (scheme, host, port). Raises ValueError or InvalidURL on a bad URL."""
-    parts = urlsplit(url)
-    target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
-    if _UNSAFE_TARGET.search(target):
-        raise http.client.InvalidURL("request target %r is not printable ASCII" % target)
-    host = parts.hostname or ""
-    if ":" in host:
-        host = "[%s]" % host
-    if parts.port is not None:
-        host = "%s:%d" % (host, parts.port)
-    return (parts.scheme, parts.hostname, parts.port), target, host
-
-
-def _read_reply(rfile):
-    """(HttpReply, keep-alive) of the next final reply on ``rfile``."""
-    status = 100
-    while 100 <= status < 200:
-        line = rfile.readline(MAX_LINE + 1)
-        if not line:
-            raise http.client.RemoteDisconnected("upstream closed the connection without a reply")
-        if len(line) > MAX_LINE:
-            raise http.client.LineTooLong("status line")
-        version, _, rest = line.partition(b" ")
-        code = rest[:3]
-        if not (version in (b"HTTP/1.1", b"HTTP/1.0") and code.isdigit()
-                and code[0] != 48 and rest[3:4] in (b" ", b"\r", b"\n")):
-            raise http.client.BadStatusLine(repr(line))
-        status = int(code)
-        headers = sensorthings.read_fields(rfile)
-
-    keep_alive = sensorthings.keeps_alive(version, headers)
-    length = sensorthings.content_length(headers)
-    coding = headers.get("transfer-encoding")
-    if status in (204, 304):
-        content = b""
-    elif coding is not None:
-        if coding.rsplit(",", 1)[-1].strip().lower() == "chunked":
-            content = _read_chunked(rfile)
-        else:
-            content, keep_alive = rfile.read(), False
-    elif length is not None:
-        content = _read_exactly(rfile, length)
-    else:
-        content, keep_alive = rfile.read(), False
-    return HttpReply(status, headers, content), keep_alive
-
-
-def _read_exactly(rfile, n: int) -> bytes:
-    """The next ``n`` bytes, read in pieces so a false length allocates nothing."""
-    chunks = []
-    while n:
-        chunk = rfile.read(min(n, MAX_LINE))
-        if not chunk:
-            raise http.client.IncompleteRead(b"".join(chunks), n)
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _read_chunked(rfile) -> bytes:
-    """Content of a chunked body (RFC 9112 section 7.1); trailers are dropped."""
-    chunks = []
-    while True:
-        line = rfile.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise http.client.LineTooLong("chunk size line")
-        size = line.split(b";", 1)[0].strip()
-        if not size or size.strip(b"0123456789abcdefABCDEF"):
-            raise http.client.IncompleteRead(b"".join(chunks))
-        size = int(size, 16)
-        if not size:
-            break
-        chunks.append(_read_exactly(rfile, size))
-        _read_exactly(rfile, 2)     # the CRLF after the chunk data
-    sensorthings.read_fields(rfile)
-    return b"".join(chunks)
-
-
-def _dropped(sock) -> bool:
-    """True when an idle keep-alive socket is readable: the peer closed it.
-    An in-thread connection has nothing to read while idle; a server stopped
-    since answers its next request with nothing."""
-    if not isinstance(sock, socket.socket):
-        return False
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
 
 
 @dataclass
@@ -394,7 +194,7 @@ class Gateway:
         # ``mapping`` is accepted and ignored, like ProxyMapping itself.
         self.endpoint = endpoint
         self.upstream = upstream
-        self.session = session or HttpSession()
+        self.session = session or http11.HttpSession()
         self.metrics = GatewayMetrics()
         self.metrics_log = metrics_log  # writable file-like, JSON lines
         self._recent = OrderedDict()    # (link_src, mid, token) -> encoded reply

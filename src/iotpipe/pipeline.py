@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import gateway as gw
-from . import link154, node as nodemod, sensorthings, stack
+from . import http11, link154, node as nodemod, sensorthings, stack
 from .clock import VirtualClock
 
 
@@ -53,15 +53,7 @@ class PipelineConfig:
         if not isinstance(self.compress, bool):
             raise ValueError("compress must be true or false, not %r" % (self.compress,))
         if self.backend_url is not None:
-            if not isinstance(self.backend_url, str):
-                raise ValueError("backend_url must be a string, not %r" % (self.backend_url,))
-            try:
-                (scheme, host, _), _, _ = gw.split_url(self.backend_url)
-            except (ValueError, http.client.InvalidURL) as exc:
-                raise ValueError("backend_url %r: %s" % (self.backend_url, exc)) from None
-            if scheme not in ("http", "https") or not host or not host.isascii():
-                raise ValueError("backend_url must be an http or https URL with an ASCII host, "
-                                 "not %r" % self.backend_url)
+            gw.UpstreamConfig(self.backend_url)     # checks the URL
         nodemod.Reliability(self.confirmable, self.max_retransmit)  # checks max_retransmit
         # Receipts are stamped by the run's clock; a CON send may wait out every timeout.
         attempts = self.max_retransmit + 1 if self.confirmable else 0
@@ -196,7 +188,7 @@ def _observation_count(base_url: str) -> int:
     """The observations the backend at ``base_url`` holds. OSError when it cannot
     be reached, ``http.client.HTTPException`` when its reply is not HTTP or not
     a 200 JSON object with an integer @iot.count."""
-    session = gw.HttpSession()  # closes itself if the request fails
+    session = http11.HttpSession()  # closes itself if the request fails
     resp = session.request("GET", base_url + "/Observations?$top=0", timeout=5.0)
     session.close()
     try:

@@ -3,23 +3,20 @@
 Entity model (Thing, Location, Sensor, ObservedProperty, Datastream,
 Observation), deep insert of Things with Locations, observation ingestion,
 navigation reads, and an append-only JSON-lines journal for recovery.
-Requests are answered by one function, ``respond``; the HTTP server only
-reads and writes HTTP around it, in a thread per connection or, for a
-client in the same process, in the client's thread.
+Requests are answered by one function, ``respond``. ``BackendServer``
+serves it through ``http11.Server``, which only reads and writes HTTP
+around it, in a thread per connection or, for a client in the same
+process, in the client's thread.
 """
 
-import http.client
 import json
 import re
-import socket
-import socketserver
 import threading
-import time
 import warnings
 from datetime import datetime, timezone
-from email.utils import formatdate
-from http import HTTPStatus
 from urllib.parse import parse_qsl
+
+from . import http11
 
 
 class StError(Exception):
@@ -458,10 +455,6 @@ def _page(ids, params: dict):
 _ROOT_LISTING = json.dumps({"value": [{"name": kind, "url": ROOT + "/" + kind} for kind in KINDS]})
 
 
-def _error_json(message: str) -> str:
-    return json.dumps({"error": message})
-
-
 def respond(store: Store, method: str, target: str, body: bytes, now: float):
     """Answer one request: (status, JSON text of the reply body, Location or None).
 
@@ -475,7 +468,7 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float):
     """
     try:
         if method not in ("GET", "POST"):
-            return 405, _error_json("method %s not allowed" % method), None
+            return 405, http11.error_json("method %s not allowed" % method), None
         if method == "POST":
             try:
                 body = json.loads(body)
@@ -511,265 +504,20 @@ def respond(store: Store, method: str, target: str, body: bytes, now: float):
         return (201, store.read("%s(%d)" % (kind, new_id)),
                 "%s/%s(%d)" % (ROOT, kind, new_id))
     except StError as exc:
-        return exc.status, _error_json(str(exc)), None
+        return exc.status, http11.error_json(str(exc)), None
 
 
-# -- HTTP -------------------------------------------------------------------
-# The backend speaks the HTTP/1.1 subset its clients use: a request line,
-# header fields of which only four are read, and a Content-Length body. Each
-# reply goes out in one write.
-
-MAX_LINE = 65536        # bytes in any one line of a message head (both ends)
-MAX_HEADERS = 100       # header fields in one message head (both ends)
-MAX_BODY = 1 << 20      # bytes in one request body
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
-_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
-
-
-class _TooManyFields(http.client.LineTooLong):
-    def __init__(self):
-        http.client.HTTPException.__init__(self, "more than %d header fields" % MAX_HEADERS)
-
-
-def read_fields(rfile) -> dict:
-    """Header (or trailer) fields up to the blank line that ends them, keyed
-    by lower-case name; a repeated field's values are joined with ", ".
-
-    Both ends of the upstream hop read every message head through here. A
-    line over MAX_LINE bytes or more than MAX_HEADERS fields raise
-    ``http.client.LineTooLong``; a line without a colon, whitespace before
-    the colon (RFC 9112 section 5.1) or Content-Length values that differ
-    raise ``http.client.HTTPException``; the end of the stream before the
-    blank line raises ConnectionAbortedError.
-    """
-    fields = {}
-    for _ in range(MAX_HEADERS + 1):
-        line = rfile.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise http.client.LineTooLong("header line")
-        if line in (b"\r\n", b"\n"):
-            return fields
-        if not line:
-            raise ConnectionAbortedError("peer closed the connection mid-head")
-        name, colon, value = line.decode("latin-1").partition(":")
-        if not colon or not name or name != name.strip():
-            raise http.client.HTTPException("malformed header line %r" % line[:80])
-        name, value = name.lower(), value.strip()
-        old = fields.get(name)
-        if old is None:
-            fields[name] = value
-        elif name == "content-length":
-            if value != old:
-                raise http.client.HTTPException("differing Content-Length values")
-        else:
-            fields[name] = old + ", " + value
-    raise _TooManyFields()
-
-
-def content_length(fields: dict):
-    """The Content-Length of a message head as an int, or None without one;
-    a value other than ASCII digits raises ``http.client.HTTPException``."""
-    value = fields.get("content-length")
-    if value is None:
-        return None
-    if value.isascii() and value.isdigit():
-        try:
-            return int(value)
-        except ValueError:      # more digits than int() converts
-            pass
-    raise http.client.HTTPException("bad Content-Length %r" % value[:80])
-
-
-def keeps_alive(version: bytes, fields: dict) -> bool:
-    """Whether the connection stays open after a message of HTTP ``version``."""
-    tokens = [token.strip() for token in fields.get("connection", "").lower().split(",")]
-    if version == b"HTTP/1.1":
-        return "close" not in tokens
-    return "keep-alive" in tokens
-
-
-class _Refused(Exception):
-    """A request the server answers itself with ``status``, then closes."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-
-
-def _serve_one(rfile, wfile, store, server) -> bool:
-    """Answer the next request on ``rfile`` through ``respond``, in one write
-    to ``wfile``; False once the connection is to be closed.
-
-    Both transports serve through here: the threaded handler over a socket
-    and ``BackendServer.answer`` in the caller's thread. ``server.now()``
-    stamps the receipt and the Date. A truncated request raises ConnectionError.
-    """
-    line = rfile.readline(MAX_LINE + 1)
-    if not line:
-        return False
-    now = server.now()
-    try:
-        if len(line) > MAX_LINE:
-            raise _Refused(400, "request line over %d bytes" % MAX_LINE)
-        parts = line.split()
-        if len(parts) != 3 or not parts[2].startswith(b"HTTP/"):
-            raise _Refused(400, "malformed request line")
-        method, target, version = parts
-        try:
-            fields = read_fields(rfile)
-            length = content_length(fields) or 0
-        except http.client.LineTooLong as exc:
-            raise _Refused(431, str(exc))
-        except http.client.HTTPException as exc:
-            raise _Refused(400, str(exc))
-        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
-            raise _Refused(505, "HTTP version not supported")
-        if "transfer-encoding" in fields:
-            raise _Refused(501, "Transfer-Encoding is not supported")
-        if length > MAX_BODY:
-            raise _Refused(413, "request body over %d bytes" % MAX_BODY)
-        if fields.get("expect", "").lower() == "100-continue":
-            wfile.write(_CONTINUE)
-        # Read the body of every method, so none is left in a keep-alive stream.
-        body = rfile.read(length) if length else b""
-        if len(body) < length:
-            raise ConnectionAbortedError("peer closed the connection mid-body")
-        method, keep_alive = method.decode("latin-1"), keeps_alive(version, fields)
-        status, text, location = respond(store, method, target.decode("latin-1"), body, now)
-    except _Refused as exc:
-        method, keep_alive = None, False
-        status, text, location = exc.status, _error_json(str(exc)), None
-    payload = text.encode("utf-8")
-    head = ("HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
-            "Content-Length: %d\r\nDate: %s\r\n") % (
-        status, _REASONS.get(status, ""), len(payload), server.http_date(now))
-    if not keep_alive:
-        head += "Connection: close\r\n"
-    if location:
-        head += "Location: %s\r\n" % location
-    wfile.write((head + "\r\n").encode("latin-1") + (payload if method != "HEAD" else b""))
-    return keep_alive
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """Answers the requests of one keep-alive connection."""
-
-    timeout = None              # idle seconds before the connection is dropped
-    disable_nagle_algorithm = True
-    store = None                # set per server
-
-    def handle(self):
-        try:
-            while _serve_one(self.rfile, self.wfile, self.store, self.server):
-                pass
-        except (TimeoutError, ConnectionError):     # idle timeout, or the peer went away
-            pass
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    _date = (None, "")      # (epoch second, its IMF-fixdate)
-
-    def __init__(self, address, handler, now):
-        super().__init__(address, handler)
-        self.now = now              # () -> epoch seconds, read once per request
-        self.connections = set()    # accepted sockets, until their handler closes them
-
-    def process_request(self, request, client_address):
-        self.connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        self.connections.discard(request)
-        super().shutdown_request(request)
-
-    def http_date(self, now: float) -> str:
-        """The Date field value for ``now`` (RFC 9110 section 6.6.1), formatted
-        at most once per second."""
-        second = int(now)
-        if self._date[0] != second:
-            self._date = (second, formatdate(second, usegmt=True))
-        return self._date[1]
-
-
-# (host, port) -> the started BackendServer of this process bound there.
-# ``gateway.HttpSession`` answers a connection to one of these in the
-# caller's thread, through ``BackendServer.answer``, with no socket.
-LOCAL_SERVERS = {}
-
-
-class BackendServer:
-    """Threaded HTTP server wrapping one Store.
-
-    Started, it also answers connections from ``gateway.HttpSession``s of
-    this process in their own thread (see ``LOCAL_SERVERS``). Receipt times
-    and the Date field come from ``clock.now``, or else from the wall clock.
-    """
+class BackendServer(http11.Server):
+    """``http11.Server`` answering through ``respond`` on one Store."""
 
     def __init__(self, store: Store, host: str = "127.0.0.1", port: int = 0, clock=None):
+        # ``respond`` is looked up per request, so that a patched one answers
+        super().__init__(lambda *request: respond(store, *request), host, port, clock)
         self.store = store
-        handler = type("Handler", (_Handler,), {"store": store})
-        self._httpd = _Server((host, port), handler, time.time if clock is None else clock.now)
-        self._thread = None
-        self._stopping = False
-
-    @property
-    def address(self) -> tuple:
-        """The bound (host, port)."""
-        return self._httpd.server_address
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
 
     @property
     def base_url(self) -> str:
-        return "http://%s:%d%s" % (self._httpd.server_address[0], self.port, ROOT)
-
-    def start(self):
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        LOCAL_SERVERS[self.address] = self
-        return self
-
-    def _serve(self):
-        while not self._stopping:
-            self._httpd.handle_request()    # blocks until a connection arrives
-
-    def answer(self, rfile, wfile) -> bool:
-        """Serve the next request on ``rfile`` into ``wfile`` in the caller's
-        thread, as a connection's handler thread would; False once that
-        connection is to be closed. A stopped server answers nothing. An
-        error is reported like one in a handler thread, by ``socketserver``'s
-        ``handle_error``, and closes the connection."""
-        if self._stopping:
-            return False
-        try:
-            return _serve_one(rfile, wfile, self.store, self._httpd)
-        except Exception:
-            self._httpd.handle_error(None, "a connection in this thread")
-            return False
-
-    def stop(self):
-        """Stop answering: leave ``LOCAL_SERVERS``, wake the serve thread with
-        one connection of our own and join it, shut down the connections still
-        open (their handler threads then read the end and exit), then close
-        the listening socket."""
-        LOCAL_SERVERS.pop(self.address, None)
-        self._stopping = True
-        if self._thread:
-            try:
-                socket.create_connection(self._httpd.server_address, timeout=1).close()
-            except OSError:     # stopped before: nothing listens, and the thread has exited
-                pass
-            self._thread.join(timeout=5)
-        for conn in list(self._httpd.connections):
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:     # its handler closed it meanwhile
-                pass
-        self._httpd.server_close()
+        return "http://%s:%d%s" % (self.address[0], self.port, ROOT)
 
 
 def seed_default_entities(store: Store) -> int:

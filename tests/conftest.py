@@ -28,6 +28,13 @@ THING_BODY = {
 }
 
 
+# Backend URLs that urlsplit or its port cannot parse, with no host or one
+# the request head cannot carry, or with a scheme other than http and https.
+BAD_URLS = ["http://[::1", "http://127.0.0.1:notaport/v1.0", "http://127.0.0.1:99999/v1.0",
+            "", "http:///v1.0", "127.0.0.1:8080/v1.0", "ftp://127.0.0.1:1/v1.0",
+            "http://\u20ac/v1.0"]
+
+
 @pytest.fixture
 def store():
     return sensorthings.Store()

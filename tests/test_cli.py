@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iotpipe import cli, node, sensorthings
 from iotpipe.pipeline import PipelineConfig, run_pipeline
+from tests.conftest import BAD_URLS
 
 
 def test_bench_default_exits_zero(capsys):
@@ -99,13 +100,6 @@ def test_serve_and_replay_run_until_interrupted(capsys, monkeypatch, tmp_path):
     assert cli.main(["replay", journal, "--port", "0"]) == 0
     out = capsys.readouterr().out
     assert "Datastreams=1" in out and "serving recovered store at http://" in out
-
-
-# Backend URLs that urlsplit or its port cannot parse, with no host or one
-# the request head cannot carry, or with a scheme other than http and https.
-BAD_URLS = ["http://[::1", "http://127.0.0.1:notaport/v1.0", "http://127.0.0.1:99999/v1.0",
-            "", "http:///v1.0", "127.0.0.1:8080/v1.0", "ftp://127.0.0.1:1/v1.0",
-            "http://\u20ac/v1.0"]
 
 
 def test_pipeline_bad_config_exits_2(capsys, tmp_path):

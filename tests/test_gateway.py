@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import iotpipe
-from iotpipe import coap, gateway, link154, node, sensorthings, sizebench, stack
+from iotpipe import coap, gateway, http11, link154, node, sensorthings, sizebench, stack
 from iotpipe.clock import VirtualClock
 from iotpipe.pipeline import PipelineConfig, run_pipeline
-from tests.conftest import ScriptedUpstream, hostile_frames
+from tests.conftest import BAD_URLS, ScriptedUpstream, hostile_frames
 
 UPSTREAM = gateway.UpstreamConfig(base_url="http://192.0.2.1/v1.0")
 
@@ -23,6 +23,12 @@ PAYLOAD = b'{"result":2143}'
 
 def canonical_post():
     return coap.build_observation_request(["Observations"], PAYLOAD)
+
+
+@pytest.mark.parametrize("url", BAD_URLS)
+def test_upstream_config_refuses_a_bad_url(url):
+    with pytest.raises(ValueError):
+        gateway.UpstreamConfig(base_url=url)
 
 
 def test_translate_canonical_post():
@@ -72,21 +78,21 @@ def test_translate_missing_path():
 ])
 def test_status_mapping(status, code):
     request = canonical_post()
-    resp = gateway.HttpReply(status, {}, b"")
+    resp = http11.HttpReply(status, {}, b"")
     out = gateway.translate_response(resp, request, UPSTREAM)
     assert out.code == code
     assert out.token == request.token
 
 
 def test_unmapped_status_falls_back_to_bad_gateway():
-    resp = gateway.HttpReply(418, {}, b"")
+    resp = http11.HttpReply(418, {}, b"")
     out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.code == (5, 2)
 
 
 def test_response_body_and_media_type_preserved():
     body = b'{"@iot.id": 3}'
-    resp = gateway.HttpReply(200, {"content-type": "application/json"}, body)
+    resp = http11.HttpReply(200, {"content-type": "application/json"}, body)
     out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.payload == body
     assert out.content_format() == coap.CF_JSON
@@ -97,7 +103,7 @@ def test_con_request_gets_ack_response(build_pair):
         ["Observations"], PAYLOAD,
         msg_type=coap.MsgType.CON, token=b"\x05\x06", message_id=44,
     )
-    resp = gateway.HttpReply(201, {}, b"")
+    resp = http11.HttpReply(201, {}, b"")
     out = gateway.translate_response(resp, request, UPSTREAM)
     assert out.msg_type == coap.MsgType.ACK
     assert out.message_id == 44
@@ -119,7 +125,7 @@ def test_created_reply_names_the_resource_in_location_path(location, segments):
     headers = {"content-type": "application/json"}
     if location is not None:
         headers["location"] = location
-    resp = gateway.HttpReply(201, headers, b'{"@iot.id":7,"result":2143}')
+    resp = http11.HttpReply(201, headers, b'{"@iot.id":7,"result":2143}')
     out = gateway.translate_response(resp, canonical_post(), UPSTREAM)
     assert out.code == (2, 1)
     assert out.payload == b""
@@ -130,7 +136,7 @@ def test_get_reply_keeps_its_body():
     get = coap.CoapMessage(coap.MsgType.NON, coap.METHOD_GET, 3, token=b"\x03",
                            options=[(coap.OPT_URI_PATH, b"Observations(7)")])
     body = b'{"@iot.id":7,"result":2143}'
-    resp = gateway.HttpReply(200, {"content-type": "application/json",
+    resp = http11.HttpReply(200, {"content-type": "application/json",
                                    "location": "/v1.0/Observations(7)"}, body)
     out = gateway.translate_response(resp, get, UPSTREAM)
     assert out.options == [(coap.OPT_CONTENT_FORMAT, bytes([coap.CF_JSON]))]
@@ -142,7 +148,7 @@ def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
     request = coap.build_observation_request(
         ["Observations"], PAYLOAD,
         msg_type=coap.MsgType.CON, token=bytes(8), message_id=9)
-    resp = gateway.HttpReply(201, {"location": "/v1.0/Observations(9999999)"}, b"{}")
+    resp = http11.HttpReply(201, {"location": "/v1.0/Observations(9999999)"}, b"{}")
     reply = coap.encode(gateway.translate_response(resp, request, UPSTREAM))
     link = link154.SimulatedLink()
     gw_ep = stack.StackEndpoint(link.endpoints[1], stack.gateway_stack_config(profile=profile))
@@ -157,7 +163,7 @@ def test_created_reply_to_a_seven_digit_id_is_one_frame(profile):
 
 def over_tcp(server) -> bool:
     """Whether HttpSessions reach ``server`` over TCP, not in their thread."""
-    return server.address not in sensorthings.LOCAL_SERVERS
+    return server.address not in http11.LOCAL_SERVERS
 
 
 @pytest.fixture
@@ -335,7 +341,7 @@ def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_p
     accepted = []   # the sockets the backend accepts
     connects = []   # the connections the session opens
     real_get_request = backend._httpd.get_request
-    real_connect = gateway.HttpSession._connect
+    real_connect = http11.HttpSession._connect
 
     def counting_get_request():
         accepted.append(real_get_request())
@@ -346,7 +352,7 @@ def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_p
         real_connect(session, origin, timeout)
 
     monkeypatch.setattr(backend._httpd, "get_request", counting_get_request)
-    monkeypatch.setattr(gateway.HttpSession, "_connect", counting_connect)
+    monkeypatch.setattr(http11.HttpSession, "_connect", counting_connect)
     node_ep, gw = build_pair(backend.base_url)
     records = send_observations(node_ep, gw, 50)
     assert all(r.response_code == "2.01" for r in records)
@@ -357,7 +363,7 @@ def test_exchanges_share_one_keep_alive_connection(backend, monkeypatch, build_p
 
 def test_a_server_on_a_clock_stamps_receipt_and_date_from_it(serve, seeded_store):
     server = serve(seeded_store, VirtualClock(86400.5))
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         reply = session.request("POST", server.base_url + "/Observations",
                                 data=b'{"result":1}', timeout=5.0)
@@ -369,7 +375,7 @@ def test_a_server_on_a_clock_stamps_receipt_and_date_from_it(serve, seeded_store
 
 
 def test_session_reply_headers_are_case_insensitive(backend):
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         reply = session.request("GET", backend.base_url + "/Things(1)", timeout=5.0)
     finally:
@@ -440,10 +446,10 @@ def test_a_page_over_1_mib_reads_the_same_in_thread_as_over_tcp(serve, seeded_st
     for i in range(100):
         seeded_store.ingest_observation(1, {"result": "x" * 11_000}, receipt_time=float(i))
     in_thread, tcp = serve(seeded_store), serve(seeded_store)
-    del sensorthings.LOCAL_SERVERS[tcp.address]
+    del http11.LOCAL_SERVERS[tcp.address]
     replies = []
-    for server, connection in ((in_thread, gateway._InThread), (tcp, socket.socket)):
-        session = gateway.HttpSession()
+    for server, connection in ((in_thread, http11._InThread), (tcp, socket.socket)):
+        session = http11.HttpSession()
         try:
             replies.append(session.request("GET", server.base_url + "/Observations", timeout=5))
             assert isinstance(session._sock, connection)
@@ -548,7 +554,7 @@ CREATED = b"HTTP/1.1 201 Created\r\nContent-Type: application/json\r\nContent-Le
 ], ids=["chunked", "after-1xx"])
 def test_session_reads_a_framed_reply_and_keeps_the_connection(scripted, reply, content):
     upstream = scripted([reply, CREATED])
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         first = session.request("GET", upstream.url + "/Things", timeout=2)
         second = session.request("POST", upstream.url + "/Things", data=b"{}", timeout=2)
@@ -566,7 +572,7 @@ def test_session_reads_a_framed_reply_and_keeps_the_connection(scripted, reply, 
 ], ids=["no-length", "connection-close", "http-1.0"])
 def test_session_reconnects_after_a_reply_that_ends_the_connection(scripted, reply):
     upstream = scripted([reply], [CREATED])
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         first = session.request("GET", upstream.url + "/Things", timeout=2)
         second = session.request("POST", upstream.url + "/Things", data=b"{}", timeout=2)
@@ -581,7 +587,7 @@ def test_session_reconnects_after_a_reply_that_ends_the_connection(scripted, rep
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", http.client.IncompleteRead),
     (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", http.client.IncompleteRead),
     (b"SMTP ready\r\n", http.client.BadStatusLine),
-    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * sensorthings.MAX_LINE, http.client.LineTooLong),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * http11.MAX_LINE, http.client.LineTooLong),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", http.client.HTTPException),
     (b"", http.client.RemoteDisconnected),
     (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabc",
@@ -592,7 +598,7 @@ def test_session_reconnects_after_a_reply_that_ends_the_connection(scripted, rep
 def test_malformed_reply_raises_and_the_gateway_answers_5_02(scripted, build_pair,
                                                                reply, error):
     upstream = scripted([reply], [reply])
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         with pytest.raises(error):
             session.request("GET", upstream.url + "/Things", timeout=2)
@@ -622,7 +628,7 @@ REPLIES = st.one_of(
 @given(reply=REPLIES)
 def test_any_reply_bytes_return_or_raise_only_transport_errors(reply):
     upstream = ScriptedUpstream([[reply]])
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         answer = session.request("POST", upstream.url + "/Observations", data=PAYLOAD,
                                  timeout=2)
@@ -644,7 +650,7 @@ def test_https_urls_go_through_tls():
 
     thread = threading.Thread(target=answer_in_plain_http, daemon=True)
     thread.start()
-    session = gateway.HttpSession()
+    session = http11.HttpSession()
     try:
         with pytest.raises(ssl.SSLError):   # the handshake meets a plain HTTP reply
             session.request("GET", "https://127.0.0.1:%d/v1.0" % listener.getsockname()[1],
@@ -711,8 +717,13 @@ def test_same_seed_in_process_runs_write_identical_journals(serve, tmp_path):
 
 
 def test_runtime_does_not_import_requests():
+    """Nor does ``http11`` import another iotpipe module, nor ``gateway`` the backend."""
     script = (
-        "import sys, iotpipe, iotpipe.cli\n"
+        "import sys, iotpipe.http11\n"
+        "assert [m for m in sys.modules if m.startswith('iotpipe.')] == ['iotpipe.http11']\n"
+        "import iotpipe.gateway\n"
+        "assert 'iotpipe.sensorthings' not in sys.modules\n"
+        "import iotpipe.cli\n"
         "from iotpipe.pipeline import PipelineConfig, run_pipeline\n"
         "result = run_pipeline(PipelineConfig(observations_per_node=3))\n"
         "assert result.conserved and result.stored == 3, result.summary\n"
@@ -727,7 +738,7 @@ def test_runtime_does_not_import_requests():
 
 class TestOverTcp:
     """The tests above that pair an HttpSession with a BackendServer, rerun
-    with each server taken out of ``sensorthings.LOCAL_SERVERS``, so that
+    with each server taken out of ``http11.LOCAL_SERVERS``, so that
     every exchange goes over loopback TCP. (The entry is deleted outright:
     ``stop()`` tolerates its absence, where a monkeypatch would put it back
     after ``stop()`` had removed it.)"""
@@ -736,7 +747,7 @@ class TestOverTcp:
     def serve(self, serve):
         def start(store, clock=None):
             server = serve(store, clock)
-            del sensorthings.LOCAL_SERVERS[server.address]
+            del http11.LOCAL_SERVERS[server.address]
             return server
         return start
 

@@ -16,7 +16,7 @@ import pytest
 import requests
 from hypothesis import example, given, settings, strategies as st
 
-from iotpipe import sensorthings
+from iotpipe import http11, sensorthings
 from tests.conftest import THING_BODY
 
 
@@ -822,14 +822,14 @@ def test_transfer_encoding_is_501_and_closes(backend):
 
 # Each request ends where the server stops reading it: bytes left unread when
 # the server closes would make it send a reset, which can discard the reply.
-LIMIT = sensorthings.MAX_LINE + 1
+LIMIT = http11.MAX_LINE + 1
 HEAD = b"GET /v1.0 HTTP/1.1\r\n"
 
 
 @pytest.mark.parametrize("request_bytes,status", [
     (b"G" * LIMIT, 400),
     (HEAD + b"X-Long: " + b"x" * (LIMIT - 8), 431),
-    (HEAD + b"X-Many: 1\r\n" * (sensorthings.MAX_HEADERS + 1), 431),
+    (HEAD + b"X-Many: 1\r\n" * (http11.MAX_HEADERS + 1), 431),
     (b"\x00\x01 garbage\r\n", 400),
     (b"GET /v1.0\r\n", 400),
     (HEAD + b"no colon here\r\n", 400),
@@ -850,7 +850,7 @@ def test_malformed_requests_are_refused_and_closed(backend, request_bytes, statu
 
 def test_exactly_100_headers_are_read(backend):
     raw = _raw(backend, b"GET /v1.0/Things(1) HTTP/1.1\r\n"
-                        + b"X-Many: 1\r\n" * (sensorthings.MAX_HEADERS - 1)
+                        + b"X-Many: 1\r\n" * (http11.MAX_HEADERS - 1)
                         + b"Connection: close\r\n\r\n")
     assert [status for status, _, _ in _replies(raw)] == [200]
 
@@ -889,7 +889,7 @@ RAW_REQUESTS = {
                          b"Transfer-Encoding: chunked\r\n\r\n",
     "long-request-line": b"G" * LIMIT,
     "long-header-line": HEAD + b"X-Long: " + b"x" * (LIMIT - 8),
-    "101-headers": HEAD + b"X-Many: 1\r\n" * (sensorthings.MAX_HEADERS + 1),
+    "101-headers": HEAD + b"X-Many: 1\r\n" * (http11.MAX_HEADERS + 1),
     "no-version": b"GET /v1.0\r\n",
     "http-2": b"GET /v1.0 HTTP/2.0\r\n\r\n",
     "body-over-1-MiB": b"POST /v1.0/Observations HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
